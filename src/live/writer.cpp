@@ -79,7 +79,6 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
                                         const TombstoneSet& dead, PostingCodec codec,
                                         BloomOptions bloom, const std::string& out_path) {
   SegmentWriter writer(out_path, codec);
-  std::vector<std::uint32_t> max_tfs;
   BloomSidecar blooms(bloom);
   BlockIndex block_index;
   std::vector<PostingBlockEntry> blocks;
@@ -138,21 +137,14 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
                     static_cast<std::uint32_t>(out_docs.size()), out_docs.front(),
                     out_docs.back());
     block_index.add_term(blocks);
-    max_tfs.push_back(*std::max_element(out_tfs.begin(), out_tfs.end()));
     blooms.add_term(out_docs.data(), out_docs.size());
   }
 
   RewriteStats stats;
   stats.terms = writer.term_count();
-  auto file_bytes = writer.finalize();
+  auto file_bytes = write_segment_files(out_path, writer.finish(), block_index, blooms);
   if (!file_bytes.has_value()) return file_bytes.error();
   stats.output_bytes = file_bytes.value();
-  auto sidecar = write_max_tf_sidecar(out_path, max_tfs);
-  if (!sidecar.has_value()) return sidecar.error();
-  auto skip_table = write_block_index_sidecar(out_path, block_index);
-  if (!skip_table.has_value()) return skip_table.error();
-  auto filters = write_bloom_sidecar(out_path, blooms);
-  if (!filters.has_value()) return filters.error();
   return stats;
 }
 
@@ -532,7 +524,6 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
   // the search layer keeps filtering them, compaction reclaims them.
   const MemtableView frozen(memtable);
   SegmentWriter writer(live_segment_path(dir, segment_id), opts.codec);
-  std::vector<std::uint32_t> max_tfs;
   BloomSidecar blooms(opts.bloom);
   BlockIndex block_index;
   std::vector<PostingBlockEntry> blocks;
@@ -549,9 +540,7 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
                     static_cast<std::uint32_t>(list_docs.size()), list_docs.front(),
                     list_docs.back());
     block_index.add_term(blocks);
-    // Score-bound and Bloom sidecars come for free here: the lists are
-    // still decoded.
-    max_tfs.push_back(*std::max_element(tfs.begin(), tfs.end()));
+    // The Bloom sidecar comes for free here: the lists are still decoded.
     blooms.add_term(list_docs.data(), list_docs.size());
   });
   const std::uint64_t term_count = writer.term_count();
@@ -567,15 +556,9 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
     return e;
   };
 
-  auto file_bytes = writer.finalize();
+  auto file_bytes = write_segment_files(live_segment_path(dir, segment_id), writer.finish(),
+                                        block_index, blooms);
   if (!file_bytes.has_value()) return fail(file_bytes.error());
-  auto sidecar = write_max_tf_sidecar(live_segment_path(dir, segment_id), max_tfs);
-  if (!sidecar.has_value()) return fail(sidecar.error());
-  auto skip_table =
-      write_block_index_sidecar(live_segment_path(dir, segment_id), block_index);
-  if (!skip_table.has_value()) return fail(skip_table.error());
-  auto filters = write_bloom_sidecar(live_segment_path(dir, segment_id), blooms);
-  if (!filters.has_value()) return fail(filters.error());
 
   std::vector<std::string> urls;
   std::vector<std::uint32_t> doc_tokens;

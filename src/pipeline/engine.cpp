@@ -370,18 +370,28 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   report.read_backend = scheduler.backend_name();
   report.read_stall_seconds = scheduler.read_stall_seconds();
 
-  if (read_error.has_value()) {
-    // A hard ingest read error: the build is void. Already-flushed partial
-    // run files are removed so the output directory holds no stray
-    // artifacts, and the finalize stages (dictionary, doc map, merge,
-    // segment) are skipped — the caller gets a structured report.error
-    // instead of a process abort.
+  // A void build leaves no index state behind: already-flushed run files
+  // and any finalize artifacts already written are removed, and the caller
+  // gets a structured report.error instead of a process abort.
+  const auto void_build = [&](Error error) {
     for (const auto& e : directory) {
       (void)io::env().remove_file(config_.output_dir + "/" + e.file);
     }
-    report.error = *read_error;
+    for (const auto& path : {IndexLayout::dictionary_path(config_.output_dir),
+                             IndexLayout::directory_path(config_.output_dir),
+                             IndexLayout::merged_path(config_.output_dir),
+                             doc_map_path(config_.output_dir)}) {
+      (void)io::env().remove_file(path);
+    }
+    report.error = std::move(error);
     report.total_seconds = total_timer.seconds();
     report.metrics = metrics_.snapshot();
+  };
+
+  if (read_error.has_value()) {
+    // A hard ingest read error: the finalize stages (dictionary, doc map,
+    // merge, segment) are skipped.
+    void_build(*read_error);
     return report;
   }
 
@@ -413,11 +423,16 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
 
   if (config_.emit_segment) {
     obs::StageSpan span(&ins.segment_seconds);
-    // The batch pipeline keeps the legacy abort-on-io-error contract.
-    const auto stats =
-        build_segment_from_runs(config_.output_dir, entries, directory).value();
+    // The pipeline's workers are done: the fold gets every core.
+    const auto stats = build_segment_from_runs(config_.output_dir, entries, directory);
     report.segment_seconds = span.stop();
-    report.segment_bytes = stats.output_bytes;
+    if (!stats.has_value()) {
+      // The segment and its sidecars are already gone (the fold never
+      // leaves partial outputs); the runs they were folded from go too.
+      void_build(stats.error());
+      return report;
+    }
+    report.segment_bytes = stats.value().output_bytes;
   }
 
   for (const auto& ind : cpu_indexers) report.cpu_work.push_back(ind.lifetime_stats());

@@ -29,6 +29,11 @@ std::uint64_t words_for_bits(std::uint64_t bits) { return (bits + 63) / 64; }
 }  // namespace
 
 void BloomSidecar::add_term(const std::uint32_t* doc_ids, std::size_t count) {
+  add_empty_term(count);
+  insert(term_count() - 1, doc_ids, count);
+}
+
+void BloomSidecar::add_empty_term(std::size_t count) {
   HET_CHECK_MSG(options_.bits_per_element > 0 && options_.hashes > 0,
                 "bloom options must be positive");
   // Round up to whole words (at least one): probes always have bits to
@@ -36,19 +41,25 @@ void BloomSidecar::add_term(const std::uint32_t* doc_ids, std::size_t count) {
   const std::uint64_t bits =
       64 * words_for_bits(std::max<std::uint64_t>(
                1, static_cast<std::uint64_t>(count) * options_.bits_per_element));
-  const std::uint64_t begin = word_begin_.back();
-  words_.resize(static_cast<std::size_t>(begin + words_for_bits(bits)), 0);
+  words_.resize(static_cast<std::size_t>(word_begin_.back() + words_for_bits(bits)), 0);
+  bits_.push_back(bits);
+  word_begin_.push_back(words_.size());
+}
+
+void BloomSidecar::insert(std::uint64_t ordinal, const std::uint32_t* doc_ids,
+                          std::size_t count) {
+  HET_CHECK(ordinal < term_count());
+  const std::uint64_t bits = bits_[static_cast<std::size_t>(ordinal)];
+  std::uint64_t* words = words_.data() + word_begin_[static_cast<std::size_t>(ordinal)];
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t h = mix64(doc_ids[i]);
     const std::uint64_t h1 = h;
     const std::uint64_t h2 = mix64(h) | 1;  // odd stride: probes cover all bits
     for (std::uint32_t probe = 0; probe < options_.hashes; ++probe) {
       const std::uint64_t bit = (h1 + probe * h2) % bits;
-      words_[static_cast<std::size_t>(begin + bit / 64)] |= 1ull << (bit % 64);
+      words[bit / 64] |= 1ull << (bit % 64);
     }
   }
-  bits_.push_back(bits);
-  word_begin_.push_back(words_.size());
 }
 
 bool BloomSidecar::may_contain(std::uint64_t ordinal, std::uint32_t doc) const {

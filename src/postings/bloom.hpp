@@ -47,6 +47,15 @@ class BloomSidecar {
   /// Appends the filter for the next term's doc ids.
   void add_term(const std::uint32_t* doc_ids, std::size_t count);
 
+  /// Appends an all-clear filter sized for a `count`-posting list, to be
+  /// filled by insert() — for builders that know every list's length
+  /// before they see its doc ids.
+  void add_empty_term(std::size_t count);
+
+  /// Sets `doc_ids`' bits in term `ordinal`'s filter. Each term owns its
+  /// own words, so inserts into distinct terms may run concurrently.
+  void insert(std::uint64_t ordinal, const std::uint32_t* doc_ids, std::size_t count);
+
   /// False ⇒ `doc` is definitely not in term `ordinal`'s list.
   [[nodiscard]] bool may_contain(std::uint64_t ordinal, std::uint32_t doc) const;
 

@@ -44,8 +44,8 @@ MergeStats merge_runs(const std::vector<std::string>& run_paths, const std::stri
       Accum& a = it->second;
       HET_CHECK_MSG(inserted || e.min_doc > a.max_doc,
                     "doc ids must be globally increasing across runs");
-      const auto segment = run.raw_blob(e);
-      a.blob.insert(a.blob.end(), segment.begin(), segment.end());
+      const auto [blob, bytes] = run.raw_blob(e);
+      a.blob.insert(a.blob.end(), blob, blob + bytes);
       a.count += e.count;
       if (inserted) a.min_doc = e.min_doc;
       a.max_doc = e.max_doc;

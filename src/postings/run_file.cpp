@@ -108,6 +108,8 @@ RunFile RunFile::open(const std::string& path) {
     e.max_doc = r.u32();
     rf.by_key_.emplace(e.key, i);
   }
+  // Only the blob area is kept (the table bytes are parsed above), so a
+  // fold over many small runs holds no second copy of their tables.
   rf.blobs_.resize(blob_bytes);
   r.bytes(rf.blobs_.data(), blob_bytes);
   HET_CHECK_MSG(crc32(rf.blobs_.data(), rf.blobs_.size()) == blob_crc,
@@ -120,13 +122,11 @@ bool RunFile::fetch(PostingKey key, std::vector<std::uint32_t>& doc_ids,
                     std::vector<std::uint32_t>* positions) const {
   const auto* e = entry(key);
   if (e == nullptr) return false;
-  const auto blob = raw_blob(*e);
+  const auto [blob, bytes] = raw_blob(*e);
   // A merged blob is a byte-wise concatenation of self-describing blocks;
   // decode them all (a single-block blob is the degenerate case).
   std::size_t pos = 0;
-  while (pos < blob.size()) {
-    pos += decode_postings(blob.data(), blob.size(), doc_ids, tfs, positions, pos);
-  }
+  while (pos < bytes) pos += decode_postings(blob, bytes, doc_ids, tfs, positions, pos);
   return true;
 }
 
@@ -135,10 +135,9 @@ const RunTableEntry* RunFile::entry(PostingKey key) const {
   return it == by_key_.end() ? nullptr : &table_[it->second];
 }
 
-std::vector<std::uint8_t> RunFile::raw_blob(const RunTableEntry& e) const {
+std::pair<const std::uint8_t*, std::size_t> RunFile::raw_blob(const RunTableEntry& e) const {
   HET_CHECK(e.offset + e.bytes <= blobs_.size());
-  return {blobs_.begin() + static_cast<std::ptrdiff_t>(e.offset),
-          blobs_.begin() + static_cast<std::ptrdiff_t>(e.offset + e.bytes)};
+  return {blobs_.data() + e.offset, e.bytes};
 }
 
 void index_directory_write(const std::string& path,

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "codec/posting_codecs.hpp"
@@ -99,10 +100,12 @@ class RunFile {
              std::vector<std::uint32_t>& tfs,
              std::vector<std::uint32_t>* positions = nullptr) const;
 
-  /// Raw encoded bytes of `key`'s list (for byte-level merging); nullptr
-  /// table entry when absent.
+  /// Table row of `key`'s list; nullptr when the run has none.
   [[nodiscard]] const RunTableEntry* entry(PostingKey key) const;
-  [[nodiscard]] std::vector<std::uint8_t> raw_blob(const RunTableEntry& entry) const;
+  /// The raw encoded bytes behind `entry`, viewed in place (valid while the
+  /// RunFile lives) — the unit of the §III.F byte-concatenation merge.
+  [[nodiscard]] std::pair<const std::uint8_t*, std::size_t> raw_blob(
+      const RunTableEntry& entry) const;
 
  private:
   std::uint32_t run_id_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
+#include <span>
 
 #include "codec/front_coding.hpp"
 #include "io/env.hpp"
@@ -10,6 +12,7 @@
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetindex {
 namespace {
@@ -36,6 +39,101 @@ void remove_segment_outputs(const std::string& seg_path) {
   (void)io::env().remove_file(max_tf_sidecar_path(seg_path));
   (void)io::env().remove_file(block_index_sidecar_path(seg_path));
   (void)io::env().remove_file(bloom_sidecar_path(seg_path));
+}
+
+/// vbyte_encode into a raw buffer; with out == nullptr it only measures.
+std::size_t put_vbyte(std::uint8_t* out, std::uint64_t v) {
+  std::size_t n = 0;
+  for (; v >= 0x80; v >>= 7, ++n) {
+    if (out != nullptr) out[n] = static_cast<std::uint8_t>(v) | 0x80u;
+  }
+  if (out != nullptr) out[n] = static_cast<std::uint8_t>(v);
+  return n + 1;
+}
+
+/// One dictionary-section term: a block leader verbatim behind its u32
+/// length (so the reader's block index can point a string_view straight at
+/// the mapping), any other term front-coded against `prev` as
+/// vbyte(shared) vbyte(suffix length) suffix. With out == nullptr it only
+/// measures. Returns the bytes (to be) written.
+std::size_t put_dict_term(std::uint8_t* out, bool leader, std::string_view prev,
+                          std::string_view term) {
+  if (leader) {
+    if (out != nullptr) {
+      const auto len = static_cast<std::uint32_t>(term.size());
+      std::memcpy(out, &len, 4);
+      std::memcpy(out + 4, term.data(), term.size());
+    }
+    return 4 + term.size();
+  }
+  const std::size_t shared = common_prefix_length(prev, term);
+  const std::size_t suffix = term.size() - shared;
+  std::size_t n = put_vbyte(out, shared);
+  n += put_vbyte(out == nullptr ? nullptr : out + n, suffix);
+  if (out != nullptr) std::memcpy(out + n, term.data() + shared, suffix);
+  return n + suffix;
+}
+
+/// One postings-table row: offset/bytes/count/min_doc/max_doc.
+void put_table_row(std::uint8_t* out, std::uint64_t offset, std::uint32_t bytes,
+                   std::uint32_t count, std::uint32_t min_doc, std::uint32_t max_doc) {
+  std::memcpy(out, &offset, 8);
+  std::memcpy(out + 8, &bytes, 4);
+  std::memcpy(out + 12, &count, 4);
+  std::memcpy(out + 16, &min_doc, 4);
+  std::memcpy(out + 20, &max_doc, 4);
+}
+
+/// What the header records beside the section sizes.
+struct SegmentShape {
+  PostingCodec codec = PostingCodec::kVByte;
+  std::uint32_t terms_per_block = kSegmentTermsPerBlock;
+  std::uint64_t term_count = 0;
+  std::uint32_t min_doc = 0;
+  std::uint32_t max_doc = 0;
+  std::uint64_t dict_bytes = 0;
+  std::uint64_t table_bytes = 0;
+  std::uint64_t blob_bytes = 0;
+
+  [[nodiscard]] std::uint64_t file_bytes() const {
+    return kHeaderBytes + dict_bytes + table_bytes + blob_bytes + kFooterBytes;
+  }
+};
+
+/// Fills in the header and the CRC footer of a presized segment image whose
+/// three sections are already in place.
+void seal_segment(std::vector<std::uint8_t>& image, const SegmentShape& shape) {
+  HET_CHECK(image.size() == shape.file_bytes());
+  std::vector<std::uint8_t> header;
+  header.reserve(kHeaderBytes);
+  ByteWriter w(header);
+  w.u32(kSegmentMagic);
+  w.u32(kSegmentVersion);
+  w.u8(static_cast<std::uint8_t>(shape.codec));
+  w.u8(0);   // reserved
+  w.u16(0);  // reserved
+  w.u32(shape.terms_per_block);
+  w.u64(shape.term_count);
+  w.u32(shape.term_count == 0 ? 0 : shape.min_doc);
+  w.u32(shape.term_count == 0 ? 0 : shape.max_doc);
+  const std::uint64_t dict_off = kHeaderBytes;
+  const std::uint64_t table_off = dict_off + shape.dict_bytes;
+  const std::uint64_t blob_off = table_off + shape.table_bytes;
+  w.u64(dict_off);
+  w.u64(shape.dict_bytes);
+  w.u64(table_off);
+  w.u64(shape.table_bytes);
+  w.u64(blob_off);
+  w.u64(shape.blob_bytes);
+  HET_CHECK(header.size() == kHeaderBytes);
+  std::memcpy(image.data(), header.data(), kHeaderBytes);
+
+  const std::size_t payload = image.size() - kFooterBytes;
+  const std::uint64_t total = image.size();
+  const std::uint32_t crc = crc32(image.data(), payload);
+  std::memcpy(image.data() + payload, &total, 8);
+  std::memcpy(image.data() + payload + 8, &crc, 4);
+  std::memcpy(image.data() + payload + 12, &kSegmentFooterMagic, 4);
 }
 
 }  // namespace
@@ -106,9 +204,24 @@ std::vector<std::uint32_t> compute_max_tfs(const SegmentReader& reader) {
 // ------------------------------------------------------------- .bmx sidecar
 
 void BlockIndex::add_term(const std::vector<PostingBlockEntry>& entries) {
-  HET_CHECK_MSG(!entries.empty(), "block index terms must have blocks");
-  entries_.insert(entries_.end(), entries.begin(), entries.end());
-  begin_.push_back(entries_.size());
+  const auto count = static_cast<std::uint32_t>(entries.size());
+  add_terms(entries.data(), &count, 1);
+}
+
+void BlockIndex::add_terms(const PostingBlockEntry* rows, const std::uint32_t* counts,
+                           std::size_t terms) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < terms; ++i) {
+    HET_CHECK_MSG(counts[i] > 0, "block index terms must have blocks");
+    total += counts[i];
+    begin_.push_back(entries_.size() + total);
+  }
+  entries_.insert(entries_.end(), rows, rows + total);
+}
+
+void BlockIndex::reserve(std::uint64_t terms, std::uint64_t blocks) {
+  begin_.reserve(static_cast<std::size_t>(terms + 1));
+  entries_.reserve(static_cast<std::size_t>(blocks));
 }
 
 std::pair<const PostingBlockEntry*, std::size_t> BlockIndex::blocks(
@@ -291,26 +404,16 @@ void SegmentWriter::add_term(std::string_view term, const std::uint8_t* blob,
   HET_CHECK_MSG(count > 0 && blob_bytes > 0, "segment terms must have postings");
   HET_CHECK(min_doc <= max_doc && blob_bytes <= 0xFFFFFFFFull);
 
-  ByteWriter tw(table_);
-  tw.u64(blobs_.size());
-  tw.u32(static_cast<std::uint32_t>(blob_bytes));
-  tw.u32(count);
-  tw.u32(min_doc);
-  tw.u32(max_doc);
+  const std::size_t row_at = table_.size();
+  table_.resize(row_at + kTableRowBytes);
+  put_table_row(table_.data() + row_at, blobs_.size(), static_cast<std::uint32_t>(blob_bytes),
+                count, min_doc, max_doc);
   blobs_.insert(blobs_.end(), blob, blob + blob_bytes);
 
-  ByteWriter dw(dict_);
-  if (block_fill_ == 0) {
-    // Block leader: stored verbatim so the reader's block index can point a
-    // string_view straight at the mapping.
-    dw.u32(static_cast<std::uint32_t>(term.size()));
-    dw.bytes(term.data(), term.size());
-  } else {
-    const std::size_t shared = common_prefix_length(prev_term_, term);
-    vbyte_encode(shared, dict_);
-    vbyte_encode(term.size() - shared, dict_);
-    dw.bytes(term.data() + shared, term.size() - shared);
-  }
+  const bool leader = block_fill_ == 0;
+  const std::size_t dict_at = dict_.size();
+  dict_.resize(dict_at + put_dict_term(nullptr, leader, prev_term_, term));
+  put_dict_term(dict_.data() + dict_at, leader, prev_term_, term);
   block_fill_ = (block_fill_ + 1) % terms_per_block_;
 
   prev_term_.assign(term);
@@ -319,46 +422,29 @@ void SegmentWriter::add_term(std::string_view term, const std::uint8_t* blob,
   ++term_count_;
 }
 
-Expected<std::uint64_t> SegmentWriter::finalize() {
+std::vector<std::uint8_t> SegmentWriter::finish() {
   HET_CHECK(!finalized_);
   finalized_ = true;
+  const SegmentShape shape{codec_,       terms_per_block_, term_count_,   min_doc_,
+                           max_doc_,     dict_.size(),     table_.size(), blobs_.size()};
+  std::vector<std::uint8_t> image(static_cast<std::size_t>(shape.file_bytes()));
+  std::uint8_t* at = image.data() + kHeaderBytes;
+  for (auto* section : {&dict_, &table_, &blobs_}) {
+    if (!section->empty()) std::memcpy(at, section->data(), section->size());
+    at += section->size();
+    std::vector<std::uint8_t>().swap(*section);  // the image owns the bytes now
+  }
+  seal_segment(image, shape);
+  return image;
+}
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + dict_.size() + table_.size() + blobs_.size() + kFooterBytes);
-  ByteWriter w(out);
-  w.u32(kSegmentMagic);
-  w.u32(kSegmentVersion);
-  w.u8(static_cast<std::uint8_t>(codec_));
-  w.u8(0);   // reserved
-  w.u16(0);  // reserved
-  w.u32(terms_per_block_);
-  w.u64(term_count_);
-  w.u32(term_count_ == 0 ? 0 : min_doc_);
-  w.u32(term_count_ == 0 ? 0 : max_doc_);
-  const std::uint64_t dict_off = kHeaderBytes;
-  const std::uint64_t table_off = dict_off + dict_.size();
-  const std::uint64_t blob_off = table_off + table_.size();
-  w.u64(dict_off);
-  w.u64(dict_.size());
-  w.u64(table_off);
-  w.u64(table_.size());
-  w.u64(blob_off);
-  w.u64(blobs_.size());
-  HET_CHECK(out.size() == kHeaderBytes);
-  w.bytes(dict_.data(), dict_.size());
-  w.bytes(table_.data(), table_.size());
-  w.bytes(blobs_.data(), blobs_.size());
-
-  const std::uint64_t total = out.size() + kFooterBytes;
-  const std::uint32_t crc = crc32(out.data(), out.size());
-  w.u64(total);
-  w.u32(crc);
-  w.u32(kSegmentFooterMagic);
+Expected<std::uint64_t> SegmentWriter::finalize() {
+  const auto image = finish();
   // Durable before anything references it: a manifest must never commit a
   // segment whose bytes could still be lost to a crash.
-  auto written = io::durable_write_file(path_, out);
+  auto written = io::durable_write_file(path_, image);
   if (!written.has_value()) return written.error();
-  return total;
+  return image.size();
 }
 
 SegmentReader SegmentReader::open(const std::string& path) {
@@ -717,13 +803,41 @@ Expected<SegmentMergeStats> merge_segments(
   return stats;
 }
 
+Expected<std::uint64_t> write_segment_files(const std::string& seg_path,
+                                            std::vector<std::uint8_t> image,
+                                            const BlockIndex& blocks,
+                                            const BloomSidecar& blooms) {
+  HET_CHECK(blocks.term_count() == blooms.term_count());
+  const std::uint64_t file_bytes = image.size();
+  // Sequential and in a fixed order, so a fault trace (and the crash
+  // harness replaying it) is the same for every writer.
+  auto written = io::durable_write_file(seg_path, image);
+  std::vector<std::uint8_t>().swap(image);  // on disk now; the sidecars need no copy
+  if (written.has_value()) {
+    std::vector<std::uint32_t> max_tfs(static_cast<std::size_t>(blocks.term_count()));
+    for (std::uint64_t ord = 0; ord < blocks.term_count(); ++ord) {
+      max_tfs[static_cast<std::size_t>(ord)] = blocks.term_max_tf(ord);
+    }
+    written = write_max_tf_sidecar(seg_path, max_tfs);
+  }
+  if (written.has_value()) written = write_block_index_sidecar(seg_path, blocks);
+  if (written.has_value()) written = write_bloom_sidecar(seg_path, blooms);
+  if (!written.has_value()) {
+    remove_segment_outputs(seg_path);
+    return written.error();
+  }
+  return file_bytes;
+}
+
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
-    const std::vector<IndexDirectoryEntry>& directory) {
+    const std::vector<IndexDirectoryEntry>& directory, std::size_t threads) {
+  ThreadPool pool(threads);
   SegmentBuildStats stats;
-  std::vector<RunFile> runs;
-  runs.reserve(directory.size());
-  for (const auto& e : directory) runs.push_back(RunFile::open(dir + "/" + e.file));
+  std::vector<RunFile> runs(directory.size());
+  pool.parallel_for(runs.size(), [&](std::size_t i) {
+    runs[i] = RunFile::open(dir + "/" + directory[i].file);
+  });
   std::sort(runs.begin(), runs.end(),
             [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
   stats.runs = runs.size();
@@ -738,73 +852,228 @@ Expected<SegmentBuildStats> build_segment_from_runs(
                 "segment build requires a sorted dictionary");
 
   // Same byte-level fold as merge_runs, but driven by the sorted dictionary
-  // so terms stream into the writer in final order: per term, concatenate
-  // its partial blobs in ascending run order (doc order, checked from the
-  // runs' min/max metadata) — no decode/re-encode.
-  SegmentWriter writer(IndexLayout::segment_path(dir), codec);
-  std::vector<std::uint8_t> blob;
-  for (const auto& de : entries) {
-    const PostingKey key{de.shard, de.handle};
-    blob.clear();
-    std::uint32_t count = 0, mn = 0, mx = 0;
-    for (const auto& run : runs) {
-      const RunTableEntry* e = run.entry(key);
-      if (e == nullptr) continue;
-      HET_CHECK_MSG(count == 0 || e->min_doc > mx,
-                    "doc ids must be globally increasing across runs");
-      const auto part = run.raw_blob(*e);
-      blob.insert(blob.end(), part.begin(), part.end());
-      stats.input_bytes += e->bytes;
-      if (count == 0) mn = e->min_doc;
-      mx = e->max_doc;
-      count += e->count;
-    }
-    if (count == 0) continue;  // dictionary term with no flushed postings
-    writer.add_term(de.term, blob.data(), blob.size(), count, mn, mx);
-    ++stats.terms;
-    stats.postings += count;
-  }
-  const std::string seg_path = IndexLayout::segment_path(dir);
-  auto output_bytes = writer.finalize();
-  if (!output_bytes.has_value()) {
-    remove_segment_outputs(seg_path);
-    return output_bytes.error();
-  }
-  stats.output_bytes = output_bytes.value();
+  // so terms land in final order: per term, its partial blobs concatenate
+  // in ascending run order (doc order, checked from the runs' min/max
+  // metadata) — no re-encode. Every term is independent under that
+  // concatenation, and each output file is a term-ordered concatenation,
+  // so contiguous term ranges fold concurrently once the run tables have
+  // sized every term's share of each file.
+  const std::size_t n_runs = runs.size();
+  const std::size_t n_entries = entries.size();
+  const std::size_t pieces = 4 * pool.size();  // a few per worker evens out skew
 
-  // One decode pass over the fresh segment derives both sidecars: the
-  // skip table (block rows recovered from the sub-list boundaries) and the
-  // score bounds (per-term max over the block maxima). This is the only
-  // place either is ever computed from postings — merges and live flushes
-  // propagate or emit them without touching blobs.
-  auto reader = SegmentReader::try_open(seg_path);
-  if (!reader.has_value()) {
-    remove_segment_outputs(seg_path);
-    return reader.error();
+  // 1. Resolve each dictionary entry against every run's table (the hash
+  //    lookups are the costliest per-term step, so they run in parallel
+  //    once and are kept): posting count, blob bytes, and which run rows.
+  //    Only the parts that exist are kept — most terms sit in few runs —
+  //    in CSR form: chunk c appends its entries' (run, row) pairs to
+  //    parts[c], and part_end[i] is where entry i's pairs end in it.
+  struct Part {
+    std::uint32_t run;
+    std::uint32_t row;  ///< into runs[run].table()
+  };
+  const std::size_t chunk = std::max<std::size_t>(1, (n_entries + pieces - 1) / pieces);
+  std::size_t run_rows = 0;
+  for (const auto& run : runs) run_rows += run.table().size();
+  std::vector<std::vector<Part>> parts(pieces);
+  std::vector<std::uint32_t> part_end(n_entries);
+  std::vector<std::uint32_t> counts(n_entries);
+  std::vector<std::uint64_t> blob_bytes(n_entries);
+  // Expected .bmx rows: a freshly flushed part holds ceil(count / block
+  // size) sub-lists. Exact for the common run, so the block index is
+  // reserved once; a part of several flushes only makes it grow.
+  std::vector<std::uint64_t> chunk_blocks(pieces);
+  pool.parallel_for(pieces, [&](std::size_t c) {
+    const std::size_t end = std::min(n_entries, (c + 1) * chunk);
+    std::vector<Part>& list = parts[c];
+    list.reserve(run_rows / pieces);
+    for (std::size_t i = c * chunk; i < end; ++i) {
+      const PostingKey key{entries[i].shard, entries[i].handle};
+      std::uint64_t count = 0, bytes = 0;
+      std::uint32_t mx = 0;
+      for (std::size_t r = 0; r < n_runs; ++r) {
+        const RunTableEntry* e = runs[r].entry(key);
+        if (e == nullptr) continue;
+        HET_CHECK_MSG(count == 0 || e->min_doc > mx,
+                      "doc ids must be globally increasing across runs");
+        mx = e->max_doc;
+        count += e->count;
+        bytes += e->bytes;
+        chunk_blocks[c] += (e->count + kPostingsBlockSize - 1) / kPostingsBlockSize;
+        list.push_back({static_cast<std::uint32_t>(r),
+                        static_cast<std::uint32_t>(e - runs[r].table().data())});
+      }
+      HET_CHECK_MSG(count <= 0xFFFFFFFFull && bytes <= 0xFFFFFFFFull,
+                    "segment term exceeds 32-bit postings table fields");
+      HET_CHECK(list.size() <= 0xFFFFFFFFull);
+      counts[i] = static_cast<std::uint32_t>(count);
+      blob_bytes[i] = bytes;
+      part_end[i] = static_cast<std::uint32_t>(list.size());
+    }
+  });
+  const auto parts_of = [&](std::size_t i) {
+    const std::uint32_t begin = i % chunk == 0 ? 0 : part_end[i - 1];
+    return std::span<const Part>(parts[i / chunk].data() + begin, part_end[i] - begin);
+  };
+
+  // 2. Cut the emitted terms (a dictionary term with no flushed postings is
+  //    not emitted) into ranges, each starting on a multiple of
+  //    kSegmentTermsPerBlock emitted terms: front-coded blocks then never
+  //    straddle a range, so each range's dictionary bytes stand alone.
+  //    Ordinals, blob offsets and Bloom filter sizes are prefix sums.
+  std::uint64_t emitted = 0;
+  for (const std::uint32_t c : counts) emitted += c > 0 ? 1 : 0;
+  const std::uint64_t block_pieces = kSegmentTermsPerBlock * pieces;
+  const std::uint64_t per_range =
+      kSegmentTermsPerBlock *
+      std::max<std::uint64_t>(1, (emitted + block_pieces - 1) / block_pieces);
+  struct Range {
+    std::size_t begin = 0, end = 0;  ///< dictionary entries [begin, end)
+    std::uint64_t ordinal = 0;       ///< of its first emitted term
+    std::uint64_t blob_off = 0;      ///< into the blob area
+    std::uint64_t dict_off = 0;      ///< into the dictionary section
+    std::uint64_t dict_bytes = 0;
+    std::uint32_t min_doc = 0xFFFFFFFFu, max_doc = 0;
+    std::vector<PostingBlockEntry> rows;  ///< .bmx rows of its terms, in order
+    std::vector<std::uint32_t> row_counts;  ///< per term
+    bool folded = false;                    ///< guarded by rows_mu below
+  };
+  std::vector<Range> ranges;
+  BloomSidecar blooms;
+  std::uint64_t ordinal = 0, blob_total = 0;
+  for (std::size_t i = 0; i < n_entries; ++i) {
+    if (counts[i] == 0) continue;
+    if (ordinal % per_range == 0) {
+      if (!ranges.empty()) ranges.back().end = i;
+      Range& r = ranges.emplace_back();
+      r.begin = i;
+      r.ordinal = ordinal;
+      r.blob_off = blob_total;
+    }
+    blooms.add_empty_term(counts[i]);
+    stats.postings += counts[i];
+    stats.input_bytes += blob_bytes[i];
+    blob_total += blob_bytes[i];
+    ++ordinal;
   }
-  const BlockIndex block_index = compute_block_index(reader.value());
-  std::vector<std::uint32_t> max_tfs;
-  max_tfs.reserve(static_cast<std::size_t>(block_index.term_count()));
-  for (std::uint64_t ord = 0; ord < block_index.term_count(); ++ord) {
-    max_tfs.push_back(block_index.term_max_tf(ord));
+  if (!ranges.empty()) ranges.back().end = n_entries;
+  stats.terms = emitted;
+
+  // 3. Size each range's dictionary bytes; their prefix sums place it.
+  pool.parallel_for(ranges.size(), [&](std::size_t k) {
+    Range& r = ranges[k];
+    std::string_view prev;
+    std::uint64_t local = 0;
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      if (counts[i] == 0) continue;
+      r.dict_bytes +=
+          put_dict_term(nullptr, local++ % kSegmentTermsPerBlock == 0, prev, entries[i].term);
+      prev = entries[i].term;
+    }
+  });
+  SegmentShape shape;
+  shape.codec = codec;
+  shape.term_count = emitted;
+  for (Range& r : ranges) {
+    r.dict_off = shape.dict_bytes;
+    shape.dict_bytes += r.dict_bytes;
   }
-  auto side = write_max_tf_sidecar(seg_path, max_tfs);
-  if (!side.has_value()) {
-    remove_segment_outputs(seg_path);
-    return side.error();
+  shape.table_bytes = emitted * kTableRowBytes;
+  shape.blob_bytes = blob_total;
+
+  // 4. Fold every range straight into the final image: dictionary bytes,
+  //    table rows and blob copies at their precomputed offsets. Each run
+  //    part is decoded once, as it is copied, for its .bmx rows and Bloom
+  //    bits (.maxtf derives from the rows).
+  std::vector<std::uint8_t> image(static_cast<std::size_t>(shape.file_bytes()));
+  std::uint8_t* const dict_area = image.data() + kHeaderBytes;
+  std::uint8_t* const table_area = dict_area + shape.dict_bytes;
+  std::uint8_t* const blob_area = table_area + shape.table_bytes;
+  BlockIndex block_index;
+  std::uint64_t expected_blocks = 0;
+  for (const std::uint64_t b : chunk_blocks) expected_blocks += b;
+  block_index.reserve(emitted, expected_blocks);
+  std::mutex rows_mu;
+  std::size_t rows_taken = 0;  ///< ranges whose rows are in block_index
+  pool.parallel_for(ranges.size(), [&](std::size_t k) {
+    Range& r = ranges[k];
+    std::uint8_t* dict_at = dict_area + r.dict_off;
+    std::uint64_t ord = r.ordinal;
+    std::uint64_t blob_off = r.blob_off;
+    std::string_view prev;
+    std::vector<std::uint32_t> doc_ids, tfs;
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      if (counts[i] == 0) continue;
+      const std::string_view term = entries[i].term;
+      dict_at += put_dict_term(dict_at, (ord - r.ordinal) % kSegmentTermsPerBlock == 0, prev,
+                               term);
+      prev = term;
+
+      std::uint64_t term_bytes = 0, decoded = 0;
+      std::uint32_t mn = 0, mx = 0;
+      const std::size_t first_row = r.rows.size();
+      for (const Part& part : parts_of(i)) {
+        const RunTableEntry& e = runs[part.run].table()[part.row];
+        if (term_bytes == 0) mn = e.min_doc;
+        mx = e.max_doc;
+        const auto [blob, bytes] = runs[part.run].raw_blob(e);
+        std::memcpy(blob_area + blob_off + term_bytes, blob, bytes);
+        // The part's sub-lists, as compute_block_index() would recover them
+        // from the concatenated blob: one row per non-empty sub-list.
+        for (std::size_t pos = 0; pos < bytes;) {
+          doc_ids.clear();
+          tfs.clear();
+          const std::size_t consumed = decode_postings(blob, bytes, doc_ids, tfs, nullptr, pos);
+          if (!doc_ids.empty()) {
+            PostingBlockEntry row;
+            row.offset = term_bytes + pos;
+            row.bytes = static_cast<std::uint32_t>(consumed);
+            row.last_doc = doc_ids.back();
+            row.count = static_cast<std::uint32_t>(doc_ids.size());
+            row.max_tf = *std::max_element(tfs.begin(), tfs.end());
+            r.rows.push_back(row);
+            blooms.insert(ord, doc_ids.data(), doc_ids.size());
+            decoded += doc_ids.size();
+          }
+          pos += consumed;
+        }
+        term_bytes += bytes;
+      }
+      HET_CHECK_MSG(decoded == counts[i], "run table count disagrees with its postings");
+      put_table_row(table_area + ord * kTableRowBytes, blob_off,
+                    static_cast<std::uint32_t>(term_bytes), counts[i], mn, mx);
+      r.row_counts.push_back(static_cast<std::uint32_t>(r.rows.size() - first_row));
+      r.min_doc = std::min(r.min_doc, mn);
+      r.max_doc = std::max(r.max_doc, mx);
+      blob_off += term_bytes;
+      ++ord;
+    }
+    // The block index takes each range's rows as soon as every earlier
+    // range's are in, so the rows are never held twice over.
+    const std::lock_guard<std::mutex> lock(rows_mu);
+    r.folded = true;
+    for (; rows_taken < ranges.size() && ranges[rows_taken].folded; ++rows_taken) {
+      Range& done = ranges[rows_taken];
+      block_index.add_terms(done.rows.data(), done.row_counts.data(), done.row_counts.size());
+      std::vector<PostingBlockEntry>().swap(done.rows);
+      std::vector<std::uint32_t>().swap(done.row_counts);
+    }
+  });
+  // Every blob is in the image now.
+  std::vector<RunFile>().swap(runs);
+  std::vector<std::vector<Part>>().swap(parts);
+
+  shape.min_doc = 0xFFFFFFFFu;
+  for (const Range& r : ranges) {
+    shape.min_doc = std::min(shape.min_doc, r.min_doc);
+    shape.max_doc = std::max(shape.max_doc, r.max_doc);
   }
-  auto bmx = write_block_index_sidecar(seg_path, block_index);
-  if (!bmx.has_value()) {
-    remove_segment_outputs(seg_path);
-    return bmx.error();
-  }
-  // Same decode pass (conceptually) feeds the Bloom sidecar: conjunctive
-  // rejection filters over each term's absolute doc ids.
-  auto blm = write_bloom_sidecar(seg_path, compute_blooms(reader.value()));
-  if (!blm.has_value()) {
-    remove_segment_outputs(seg_path);
-    return blm.error();
-  }
+  seal_segment(image, shape);
+
+  auto output_bytes = write_segment_files(IndexLayout::segment_path(dir), std::move(image),
+                                          block_index, blooms);
+  if (!output_bytes.has_value()) return output_bytes.error();
+  stats.output_bytes = output_bytes.value();
   return stats;
 }
 

@@ -38,6 +38,8 @@
 
 namespace hetindex {
 
+class BloomSidecar;
+
 /// Terms per front-coded dictionary block. Small enough that a lookup
 /// scans a handful of suffixes, large enough that the in-memory block
 /// index stays ~1/16th of the term count.
@@ -61,6 +63,11 @@ class SegmentWriter {
   /// io::Env seam, bounded retry on transient faults). Returns total bytes
   /// written, or kIo with no partial file left behind.
   Expected<std::uint64_t> finalize();
+
+  /// Seals the segment and returns its complete file image (header through
+  /// CRC footer) without writing it — for write_segment_files(). Releases
+  /// the writer's section buffers.
+  std::vector<std::uint8_t> finish();
 
   [[nodiscard]] std::uint64_t term_count() const { return term_count_; }
 
@@ -231,7 +238,7 @@ Expected<std::vector<std::uint32_t>> read_max_tf_sidecar(const std::string& segm
                                                          std::uint64_t expected_terms);
 
 /// Decodes every postings list of `reader` once and returns per-term
-/// max_tf in term order — the build-time pass behind compact_index().
+/// max_tf in term order — the recompute oracle for a written sidecar.
 std::vector<std::uint32_t> compute_max_tfs(const SegmentReader& reader);
 
 // ------------------------------------------------------------------------
@@ -254,6 +261,11 @@ class BlockIndex {
   /// Appends one term's block rows (terms must arrive in term order; every
   /// term in a segment has ≥ 1 block).
   void add_term(const std::vector<PostingBlockEntry>& entries);
+  /// Appends `terms` terms whose rows lie back to back in `rows`, term i
+  /// owning the next `counts[i]` (≥ 1) of them.
+  void add_terms(const PostingBlockEntry* rows, const std::uint32_t* counts,
+                 std::size_t terms);
+  void reserve(std::uint64_t terms, std::uint64_t blocks);
 
   [[nodiscard]] std::uint64_t term_count() const { return begin_.size() - 1; }
   [[nodiscard]] std::uint64_t total_blocks() const { return entries_.size(); }
@@ -283,14 +295,26 @@ Expected<BlockIndex> read_block_index_sidecar(const std::string& segment_path,
                                               std::uint64_t expected_terms);
 
 /// Decodes every blob once, recovering each block's row from the sub-list
-/// boundaries — the build-time pass (and the merge-correctness oracle in
-/// tests: a merged segment's fixed-up sidecar must equal this recompute).
+/// boundaries — the rebuild path for a segment without a sidecar, and the
+/// oracle in tests: a fold's or a merge's written sidecar must equal this
+/// recompute.
 BlockIndex compute_block_index(const SegmentReader& reader);
 
 /// Cross-checks the sidecar against the segment's postings table (per-term
 /// byte/count totals and last doc) without decoding blobs. kCorrupt on any
 /// disagreement — a stale sidecar must never steer a cursor.
 Status validate_block_index(const SegmentReader& reader, const BlockIndex& index);
+
+/// The durable write tail of every freshly encoded segment (batch fold,
+/// live flush, rewrite merge): the segment `image` (as built by
+/// SegmentWriter::finish or the fold), then `.maxtf` — each term's max over
+/// its `blocks` rows' max_tf — then `.bmx` and `.blm`, each written and
+/// fsynced in that order. Returns the segment's size; on kIo no output of
+/// `seg_path` is left behind.
+Expected<std::uint64_t> write_segment_files(const std::string& seg_path,
+                                            std::vector<std::uint8_t> image,
+                                            const BlockIndex& blocks,
+                                            const BloomSidecar& blooms);
 
 /// What a segment build folded together.
 struct SegmentBuildStats {
@@ -301,14 +325,18 @@ struct SegmentBuildStats {
   std::uint64_t output_bytes = 0;  ///< segment file size
 };
 
-/// Folds the given run files into `<dir>/index.seg` using the already
-/// loaded dictionary entries (sorted by term) — the writer path shared by
-/// PipelineEngine (entries still in memory at finalize) and compact_index
-/// (entries re-read from disk). Blobs concatenate byte-wise via the
-/// §III.F merge property; nothing is re-encoded.
+/// Folds the given run files into `<dir>/index.seg` and its three sidecars
+/// using the already loaded dictionary entries (sorted by term) — the
+/// writer path shared by PipelineEngine (entries still in memory at
+/// finalize) and compact_index (entries re-read from disk). Blobs
+/// concatenate byte-wise via the §III.F merge property; nothing is
+/// re-encoded. The dictionary is cut into contiguous term ranges folded
+/// concurrently on `threads` workers (0 = hardware concurrency) straight
+/// into the final file buffers; every width writes the same bytes. kIo
+/// when an output cannot be written durably (none is left behind).
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
-    const std::vector<IndexDirectoryEntry>& directory);
+    const std::vector<IndexDirectoryEntry>& directory, std::size_t threads = 0);
 
 /// Reads dictionary + run directory under `dir` and compacts the run files
 /// into `<dir>/index.seg`. Run files are left in place: they stay the

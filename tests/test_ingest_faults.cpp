@@ -143,6 +143,61 @@ TEST_F(IngestFaultsFixture, HardEioFailsStructurallyAndCleansUp) {
   }
 }
 
+/// 1-based position of `path`'s first `kind` op in a clean build's trace —
+/// the FaultPlan counter value that hits exactly that operation.
+std::uint64_t op_index(const std::vector<io::WriteOp>& trace, io::WriteOp::Kind kind,
+                       const std::string& path) {
+  std::uint64_t n = 0;
+  for (const auto& op : trace) {
+    if (op.kind != kind) continue;
+    ++n;
+    if (op.path == path) return n;
+  }
+  return 0;
+}
+
+TEST_F(IngestFaultsFixture, SegmentFoldWriteErrorFailsStructurallyAndCleansUp) {
+  // A clean traced build locates the fold's writes: the torn segment write
+  // and the failed fsync of the last sidecar (.blm) bracket the fold's
+  // whole durable tail.
+  TempDir probe_out("fold_probe");
+  io::FaultEnv probe;
+  {
+    io::ScopedEnv scoped(probe);
+    ASSERT_TRUE(run_build(probe_out.path(), /*depth=*/4).ok());
+  }
+  const auto trace = probe.trace();
+  const std::string seg = IndexLayout::segment_path(probe_out.path());
+  struct Case {
+    const char* name;
+    io::FaultPlan plan;
+  };
+  std::vector<Case> cases(2);
+  cases[0].name = "segment write";
+  cases[0].plan.fail_write_at = op_index(trace, io::WriteOp::Kind::kWriteFile, seg);
+  cases[1].name = ".blm fsync";
+  cases[1].plan.fail_sync_at =
+      op_index(trace, io::WriteOp::Kind::kSyncFile, bloom_sidecar_path(seg));
+  ASSERT_NE(cases[0].plan.fail_write_at, 0u);
+  ASSERT_NE(cases[1].plan.fail_sync_at, 0u);
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    io::FaultEnv fault(c.plan);
+    io::ScopedEnv scoped(fault);
+    TempDir out("fold_fault");
+    const auto report = run_build(out.path(), /*depth=*/4);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error->code, ErrorCode::kIo);
+    // The void build leaves nothing behind: no segment or sidecar, and the
+    // runs, dictionary, run directory, merged run and doc map it was
+    // folded from are gone too.
+    for (const auto& entry : std::filesystem::directory_iterator(out.path())) {
+      ADD_FAILURE() << "stray artifact after failed fold: " << entry.path().filename();
+    }
+  }
+}
+
 TEST_F(IngestFaultsFixture, SerialDepthOneAlsoFailsStructurally) {
   io::FaultPlan plan;
   plan.pread_eio_at = 1;

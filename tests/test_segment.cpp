@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,8 +18,10 @@
 #include "core/hetindex.hpp"
 #include "corpus/container.hpp"
 #include "io/mmap_file.hpp"
+#include "postings/bloom.hpp"
 #include "util/binary_io.hpp"
 #include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace hetindex {
 namespace {
@@ -362,6 +367,217 @@ TEST_F(SegmentCorruptionFixture, TamperedSectionBoundsDie) {
 TEST_F(SegmentCorruptionFixture, MissingFileDies) {
   EXPECT_DEATH((void)SegmentReader::open(dir_->path() + "/nope.seg"),
                "cannot open|cannot read");
+}
+
+// ------------------------------------------------ parallel fold
+
+/// Hand-built run files and the dictionary over them, shaped to hit the
+/// fold's edges: dictionary terms with no flushed postings next to every
+/// front-coded block start (so every range boundary of every width sits
+/// beside one), parts of several sub-lists (blocked lists past 128 docs,
+/// and raw parts led by a header-only sub-list), and optional positions.
+/// Each term has a part in about two of every three runs, or, with many
+/// `runs`, in about two of them: most (term, run) pairs then hold nothing.
+struct FoldInput {
+  std::vector<DictionaryEntry> entries;
+  std::vector<IndexDirectoryEntry> directory;
+};
+
+FoldInput write_fold_runs(const std::string& dir, std::size_t emitted_terms, bool positional,
+                          std::uint32_t runs = 3) {
+  constexpr std::uint32_t kDocsPerRun = 1000;
+  FoldInput in;
+  std::vector<RunFileWriter> writers;
+  for (std::uint32_t r = 0; r < runs; ++r) {
+    // Run ids out of file order: the fold must sort runs by id.
+    const std::uint32_t run_id = runs - 1 - r;
+    const std::string file = "run_" + std::to_string(run_id) + ".post";
+    writers.emplace_back(dir + "/" + file, run_id);
+    in.directory.push_back({file, run_id, run_id * kDocsPerRun,
+                            run_id * kDocsPerRun + kDocsPerRun - 1});
+  }
+  Rng rng(positional ? 0xF01D : 0xF0D);
+  std::size_t emitted = 0;
+  std::uint32_t handle = 1;
+  auto add_entry = [&](std::uint32_t shard) {
+    char name[16];
+    std::snprintf(name, sizeof name, "t%06zu", in.entries.size());
+    in.entries.push_back({name, 0, shard, handle++});
+    return in.entries.back();
+  };
+  while (emitted < emitted_terms) {
+    // An unflushed dictionary term right before every block start.
+    if (emitted % kSegmentTermsPerBlock == 0) (void)add_entry(1);
+    const DictionaryEntry e = add_entry(static_cast<std::uint32_t>(emitted % 2));
+    bool any = false;
+    for (std::uint32_t run_id = 0; run_id < runs; ++run_id) {
+      if (rng.below(runs) < runs - 2 && !(run_id == runs - 1 && !any)) continue;
+      any = true;
+      // Mostly short lists; every 23rd term spans several 128-doc blocks.
+      const std::size_t n = emitted % 23 == 0 ? 150 + rng.below(250) : 1 + rng.below(6);
+      PostingsList list;
+      std::uint32_t doc = run_id * kDocsPerRun + static_cast<std::uint32_t>(rng.below(5));
+      for (std::size_t k = 0; k < n && doc < (run_id + 1) * kDocsPerRun; ++k) {
+        list.doc_ids.push_back(doc);
+        list.tfs.push_back(1 + static_cast<std::uint32_t>(rng.below(4)));
+        if (positional) {
+          for (std::uint32_t p = 0; p < list.tfs.back(); ++p) list.positions.push_back(p * 3);
+        }
+        doc += 1 + static_cast<std::uint32_t>(rng.below(3));
+      }
+      RunFileWriter& w = writers[runs - 1 - run_id];
+      const PostingKey key{e.shard, e.handle};
+      if (emitted % 7 == 3) {
+        // A raw part: an empty (header-only) sub-list, then the list split
+        // into two sub-lists — three sub-lists, two block rows.
+        const std::vector<std::uint32_t> none;
+        auto bytes = encode_postings(PostingCodec::kVByte, none, none);
+        const std::size_t half = (list.size() + 1) / 2;
+        PostingsList a, b;
+        std::size_t pos_at = 0;
+        for (std::size_t k = 0; k < list.size(); ++k) {
+          PostingsList& dst = k < half ? a : b;
+          dst.doc_ids.push_back(list.doc_ids[k]);
+          dst.tfs.push_back(list.tfs[k]);
+          if (positional) {
+            dst.positions.insert(dst.positions.end(), list.positions.begin() + pos_at,
+                                 list.positions.begin() + pos_at + list.tfs[k]);
+            pos_at += list.tfs[k];
+          }
+        }
+        for (const PostingsList* part : {&a, &b}) {
+          if (part->empty()) continue;
+          const auto sub = encode_postings(PostingCodec::kVByte, part->doc_ids, part->tfs,
+                                           positional ? &part->positions : nullptr);
+          bytes.insert(bytes.end(), sub.begin(), sub.end());
+        }
+        w.add_raw(key, bytes, static_cast<std::uint32_t>(list.size()), list.doc_ids.front(),
+                  list.doc_ids.back());
+      } else {
+        w.add_list(key, list);
+      }
+    }
+    ++emitted;
+  }
+  (void)add_entry(1);  // a trailing unflushed term
+  for (auto& w : writers) w.finalize();
+  return in;
+}
+
+/// The fold as one serial SegmentWriter pass over the runs — the
+/// byte-identity oracle for index.seg.
+std::vector<std::uint8_t> serial_fold(const std::string& dir, const FoldInput& in) {
+  std::vector<RunFile> runs;
+  for (const auto& d : in.directory) runs.push_back(RunFile::open(dir + "/" + d.file));
+  std::sort(runs.begin(), runs.end(),
+            [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
+  SegmentWriter writer(dir + "/unused.seg", PostingCodec::kVByte);
+  std::vector<std::uint8_t> blob;
+  for (const auto& de : in.entries) {
+    blob.clear();
+    std::uint32_t count = 0, mn = 0, mx = 0;
+    for (const auto& run : runs) {
+      const RunTableEntry* e = run.entry({de.shard, de.handle});
+      if (e == nullptr) continue;
+      const auto [bytes, len] = run.raw_blob(*e);
+      blob.insert(blob.end(), bytes, bytes + len);
+      if (count == 0) mn = e->min_doc;
+      mx = e->max_doc;
+      count += e->count;
+    }
+    if (count > 0) writer.add_term(de.term, blob.data(), blob.size(), count, mn, mx);
+  }
+  return writer.finish();
+}
+
+using SegmentFiles = std::map<std::string, std::vector<std::uint8_t>>;
+
+/// `<dir>/index.seg` and its three sidecars, keyed by suffix.
+SegmentFiles read_segment_files(const std::string& dir) {
+  const std::string seg = IndexLayout::segment_path(dir);
+  SegmentFiles files;
+  for (const std::string suffix : {"", ".maxtf", ".bmx", ".blm"}) {
+    EXPECT_TRUE(std::filesystem::exists(seg + suffix)) << seg + suffix;
+    if (std::filesystem::exists(seg + suffix)) files[suffix] = read_file(seg + suffix);
+  }
+  return files;
+}
+
+/// Folds at widths 1, 2, 3 and the hardware width; every width must write
+/// the same four files, the segment must equal the serial oracle, and the
+/// sidecars must equal the decode-pass recomputes of the re-opened segment.
+void expect_fold_identical_across_widths(const std::string& dir, const FoldInput& in,
+                                         std::uint64_t expect_terms) {
+  const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  SegmentFiles reference;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{3}, hw}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const auto stats = build_segment_from_runs(dir, in.entries, in.directory, width);
+    ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
+    EXPECT_EQ(stats.value().terms, expect_terms);
+    EXPECT_EQ(stats.value().runs, in.directory.size());
+    auto files = read_segment_files(dir);
+    EXPECT_EQ(stats.value().output_bytes, files[""].size());
+    if (reference.empty()) {
+      reference = std::move(files);
+    } else {
+      EXPECT_TRUE(files == reference) << "fold output depends on the pool width";
+    }
+  }
+  EXPECT_TRUE(reference[""] == serial_fold(dir, in)) << "segment differs from the serial fold";
+
+  // Sidecar oracles, written next to a copy of the segment and compared
+  // byte for byte.
+  const std::string copy = dir + "/oracle.seg";
+  write_file(copy, reference[""]);
+  const auto reader = SegmentReader::open(copy);
+  EXPECT_EQ(reader.term_count(), expect_terms);
+  ASSERT_TRUE(write_max_tf_sidecar(copy, compute_max_tfs(reader)).has_value());
+  ASSERT_TRUE(write_block_index_sidecar(copy, compute_block_index(reader)).has_value());
+  ASSERT_TRUE(write_bloom_sidecar(copy, compute_blooms(reader)).has_value());
+  EXPECT_TRUE(read_file(max_tf_sidecar_path(copy)) == reference[".maxtf"]);
+  EXPECT_TRUE(read_file(block_index_sidecar_path(copy)) == reference[".bmx"]);
+  EXPECT_TRUE(read_file(bloom_sidecar_path(copy)) == reference[".blm"]);
+}
+
+TEST(ParallelFold, ByteIdenticalAcrossWidths) {
+  TempDir dir("fold");
+  const auto in = write_fold_runs(dir.path(), 300, /*positional=*/false);
+  expect_fold_identical_across_widths(dir.path(), in, 300);
+  // Many runs, most of them without a part for a given term.
+  TempDir sparse("fold_sparse");
+  const auto many = write_fold_runs(sparse.path(), 250, /*positional=*/false, /*runs=*/40);
+  expect_fold_identical_across_widths(sparse.path(), many, 250);
+}
+
+TEST(ParallelFold, PositionalRunsByteIdenticalAcrossWidths) {
+  TempDir dir("fold_pos");
+  const auto in = write_fold_runs(dir.path(), 200, /*positional=*/true);
+  expect_fold_identical_across_widths(dir.path(), in, 200);
+  // Positions survive the fold: phrase-capable lookups decode them.
+  const auto reader = SegmentReader::open(IndexLayout::segment_path(dir.path()));
+  std::vector<std::uint32_t> ids, tfs, positions;
+  reader.decode(reader.meta(0), ids, tfs, &positions);
+  std::uint64_t tf_sum = 0;
+  for (const std::uint32_t tf : tfs) tf_sum += tf;
+  EXPECT_EQ(positions.size(), tf_sum);
+}
+
+TEST(ParallelFold, FewerTermsThanWorkers) {
+  TempDir dir("fold_few");
+  const auto in = write_fold_runs(dir.path(), 2, /*positional=*/false);
+  expect_fold_identical_across_widths(dir.path(), in, 2);
+}
+
+TEST(ParallelFold, EmptyDictionary) {
+  TempDir dir("fold_empty");
+  const auto runs = write_fold_runs(dir.path(), 5, /*positional=*/false);
+  const FoldInput empty{{}, runs.directory};
+  expect_fold_identical_across_widths(dir.path(), empty, 0);
+  // Only unflushed terms: nothing is emitted either.
+  FoldInput unflushed{{}, runs.directory};
+  unflushed.entries.push_back({"zz_unflushed", 0, 7, 999999});
+  expect_fold_identical_across_widths(dir.path(), unflushed, 0);
 }
 
 // ------------------------------------------------ concurrent readers

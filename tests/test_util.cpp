@@ -222,6 +222,48 @@ TEST(Crc32, DetectsSingleBitFlips) {
   }
 }
 
+/// The textbook bit-at-a-time CRC-32 — the oracle for the sliced one.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  Rng rng(0xC3C32);
+  // 8 bytes of slack so every start alignment can read `len` bytes.
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* p = buf.data() + align;
+      ASSERT_EQ(crc32(p, len), crc32_reference(p, len, 0))
+          << "len " << len << " align " << align;
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(crc32(p, len, seed), crc32_reference(p, len, seed))
+          << "seeded, len " << len << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32, ChainedCallsEqualOneCall) {
+  Rng rng(0xC4A1);
+  std::vector<std::uint8_t> buf(300);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); split += 7) {
+    const std::uint32_t head = crc32(buf.data(), split);
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, head), whole) << split;
+  }
+  // Three pieces at odd offsets, so the word loop starts misaligned twice.
+  const std::uint32_t a = crc32(buf.data(), 13);
+  const std::uint32_t b = crc32(buf.data() + 13, 101, a);
+  EXPECT_EQ(crc32(buf.data() + 114, buf.size() - 114, b), whole);
+}
+
 TEST(BinaryIo, PrimitivesRoundTrip) {
   std::vector<std::uint8_t> buf;
   ByteWriter w(buf);
