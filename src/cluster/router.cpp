@@ -284,10 +284,7 @@ Expected<std::shared_ptr<const QueryPostings>> ShardRouter::fetch_with_failover(
 
 Expected<QueryResponse> ShardRouter::search(const QueryRequest& request,
                                             const Deadline deadline) const {
-  // Resolve the AST once (legacy terms/mode requests convert here) and
-  // thread it through whichever strategy routes the query.
-  const Query query = effective_query(request);
-  if (query.empty()) {
+  if (request.query.empty()) {
     return Error{ErrorCode::kInvalidArgument, "query has no terms"};
   }
   if (request.scatter != nullptr) {
@@ -300,13 +297,13 @@ Expected<QueryResponse> ShardRouter::search(const QueryRequest& request,
   }
   ins_->queries.add();
   return partitioner_->strategy() == PartitionStrategy::kTerm
-             ? term_routed_search(request, query, deadline)
-             : scatter_search(request, query, deadline);
+             ? term_routed_search(request, deadline)
+             : scatter_search(request, deadline);
 }
 
 Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
-                                                    const Query& query,
                                                     const Deadline deadline) const {
+  const Query& query = request.query;
   const WallTimer total_timer;
   const auto shard_count = static_cast<std::uint32_t>(shards_.size());
   std::vector<ShardState> state(shard_count);
@@ -356,7 +353,6 @@ Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
   // partitions hold every doc's postings and positions whole.
   const Deadline exec_deadline = carve(deadline, options_.shard_budget_fraction);
   QueryRequest sub = request;
-  sub.query = query;
   sub.timeout = std::chrono::microseconds{0};  // the absolute deadline rules
   sub.use_result_cache = false;  // scatter stats are not in the cache key
   sub.scatter = scatter;
@@ -454,8 +450,8 @@ Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
 }
 
 Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& request,
-                                                        const Query& query,
                                                         const Deadline deadline) const {
+  const Query& query = request.query;
   const WallTimer total_timer;
   const Deadline exec_deadline = carve(deadline, options_.shard_budget_fraction);
   const std::vector<std::string> terms = query.collect_terms();

@@ -122,13 +122,11 @@ class ShardRouter final : public SearchBackend {
     QueryResponse response;
   };
 
-  /// Both strategies receive the resolved AST (effective_query of the
-  /// request) so legacy flat requests route identically to AST ones.
   [[nodiscard]] Expected<QueryResponse> scatter_search(
-      const QueryRequest& request, const Query& query,
+      const QueryRequest& request,
       std::optional<std::chrono::steady_clock::time_point> deadline) const;
   [[nodiscard]] Expected<QueryResponse> term_routed_search(
-      const QueryRequest& request, const Query& query,
+      const QueryRequest& request,
       std::optional<std::chrono::steady_clock::time_point> deadline) const;
 
   /// Replica indices of `shard` in health order: non-demoted first (by

@@ -11,13 +11,13 @@
 namespace hetindex {
 
 LiveSegment::LiveSegment(std::uint64_t id, std::uint32_t doc_base,
-                         std::uint32_t doc_count, SegmentReader reader,
+                         std::uint32_t doc_count, ServedSegment served,
                          std::optional<DocMap> doc_map, std::string seg_path,
                          std::string map_path)
     : id_(id),
       doc_base_(doc_base),
       doc_count_(doc_count),
-      reader_(std::move(reader)),
+      served_(std::move(served)),
       doc_map_(std::move(doc_map)),
       seg_path_(std::move(seg_path)),
       map_path_(std::move(map_path)) {}
@@ -27,38 +27,14 @@ Expected<std::shared_ptr<LiveSegment>> LiveSegment::open(const std::string& dir,
                                                          std::uint32_t doc_base,
                                                          std::uint32_t doc_count) {
   std::string seg_path = live_segment_path(dir, segment_id);
-  auto reader = SegmentReader::try_open(seg_path);
-  if (!reader.has_value()) return reader.error();
+  auto served = open_served_segment(seg_path);
+  if (!served.has_value()) return served.error();
   std::string map_path = live_docmap_path(dir, segment_id);
   std::optional<DocMap> map;
   if (file_exists(map_path)) map = DocMap::open(map_path);
-  auto seg = std::shared_ptr<LiveSegment>(
-      new LiveSegment(segment_id, doc_base, doc_count, std::move(reader).value(),
+  return std::shared_ptr<LiveSegment>(
+      new LiveSegment(segment_id, doc_base, doc_count, std::move(served).value(),
                       std::move(map), std::move(seg_path), std::move(map_path)));
-  // Sidecars are optional — a segment written before either format existed
-  // serves without tight bounds / block skipping — but a sidecar that is
-  // present yet corrupt fails the open instead of silently degrading.
-  auto bounds = read_max_tf_sidecar(seg->seg_path_, seg->reader_.term_count());
-  if (bounds.has_value()) {
-    seg->max_tfs_ = std::move(bounds).value();
-  } else if (bounds.error().code != ErrorCode::kNotFound) {
-    return bounds.error();
-  }
-  auto blocks = read_block_index_sidecar(seg->seg_path_, seg->reader_.term_count());
-  if (blocks.has_value()) {
-    auto consistent = validate_block_index(seg->reader_, blocks.value());
-    if (!consistent.has_value()) return consistent.error();
-    seg->block_index_ = std::move(blocks).value();
-  } else if (blocks.error().code != ErrorCode::kNotFound) {
-    return blocks.error();
-  }
-  auto blooms = read_bloom_sidecar(seg->seg_path_, seg->reader_.term_count());
-  if (blooms.has_value()) {
-    seg->blooms_ = std::move(blooms).value();
-  } else if (blooms.error().code != ErrorCode::kNotFound) {
-    return blooms.error();
-  }
-  return seg;
 }
 
 LiveSegment::~LiveSegment() {
@@ -67,10 +43,7 @@ LiveSegment::~LiveSegment() {
   // effort, the manifest no longer names them. Through the Env so the
   // crash harness sees the unlinks in the write trace. The mapping is
   // closed by the member destructors running after this body.
-  (void)io::env().remove_file(seg_path_);
-  (void)io::env().remove_file(max_tf_sidecar_path(seg_path_));
-  (void)io::env().remove_file(block_index_sidecar_path(seg_path_));
-  (void)io::env().remove_file(bloom_sidecar_path(seg_path_));
+  remove_segment_files(seg_path_);
   (void)io::env().remove_file(map_path_);
 }
 
@@ -159,11 +132,7 @@ std::optional<std::uint32_t> LiveSnapshot::max_tf(std::string_view term) const {
   for (const auto& seg : segments_) {
     const auto ordinal = seg->reader().find(term);
     if (!ordinal) continue;
-    const auto* tfs = seg->max_tfs();
-    // One sidecar-less segment holding the term invalidates the bound —
-    // better no bound than one that can wrongly prune.
-    if (tfs == nullptr) return std::nullopt;
-    const std::uint32_t tf = (*tfs)[static_cast<std::size_t>(*ordinal)];
+    const std::uint32_t tf = seg->block_index().term_max_tf(*ordinal);
     best = best ? std::max(*best, tf) : tf;
   }
   if (memtable_ != nullptr) {
@@ -199,21 +168,12 @@ std::unique_ptr<PostingsCursor> LiveSnapshot::open_cursor(std::string_view term,
     if (!ordinal) continue;
     const auto m = seg->reader().meta(*ordinal);
     if (m.count == 0) continue;
-    const auto* skip = seg->block_index();
-    if (skip != nullptr) {
-      const auto blob = seg->reader().raw_blob(m);
-      const auto rows = skip->blocks(*ordinal);
-      // The pin keeps the mapping alive even if compaction obsoletes the
-      // segment while a cursor is outstanding. Positions come for free:
-      // the segment cursor re-decodes its current block on demand.
-      parts.push_back(
-          make_segment_cursor(blob.first, blob.second, rows.first, rows.second, seg));
-    } else {
-      auto decoded = std::make_shared<QueryPostings>();
-      seg->reader().decode(m, decoded->doc_ids, decoded->tfs,
-                           with_positions ? &decoded->positions : nullptr);
-      parts.push_back(make_decoded_cursor(std::move(decoded)));
-    }
+    const auto blob = seg->reader().raw_blob(m);
+    const auto rows = seg->block_index().blocks(*ordinal);
+    // The pin keeps the mapping alive even if compaction obsoletes the
+    // segment while a cursor is outstanding. Positions come for free:
+    // the segment cursor re-decodes its current block on demand.
+    parts.push_back(make_segment_cursor(blob.first, blob.second, rows.first, rows.second, seg));
   }
   if (memtable_ != nullptr) {
     if (with_positions) {

@@ -49,26 +49,20 @@ class LiveSegment {
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] std::uint32_t doc_base() const { return doc_base_; }
   [[nodiscard]] std::uint32_t doc_count() const { return doc_count_; }
-  [[nodiscard]] const SegmentReader& reader() const { return reader_; }
+  [[nodiscard]] const SegmentReader& reader() const { return served_.reader; }
   [[nodiscard]] const DocMap* doc_map() const {
     return doc_map_ ? &*doc_map_ : nullptr;
   }
-  /// Per-term max term frequency from the segment's score-bound sidecar
-  /// (written by flush, propagated by compaction); nullptr when the segment
-  /// predates the sidecar format.
-  [[nodiscard]] const std::vector<std::uint32_t>* max_tfs() const {
-    return max_tfs_.empty() ? nullptr : &max_tfs_;
-  }
-  /// The segment's block skip table (.bmx sidecar, validated at open);
-  /// nullptr when the segment predates the sidecar format.
-  [[nodiscard]] const BlockIndex* block_index() const {
-    return block_index_ ? &*block_index_ : nullptr;
-  }
+  /// The segment with its block index and Bloom filters, as
+  /// open_served_segment loaded them (postings/segment.hpp).
+  [[nodiscard]] const ServedSegment& served() const { return served_; }
+  /// The segment's block skip table (.bmx, or rebuilt at open without one).
+  [[nodiscard]] const BlockIndex& block_index() const { return served_.blocks; }
   /// The segment's Bloom rejection filters (.blm sidecar); nullptr when
   /// the segment predates the format or a concat merge dropped it (the
   /// caller degrades to no rejection).
   [[nodiscard]] const BloomSidecar* blooms() const {
-    return blooms_ ? &*blooms_ : nullptr;
+    return served_.blooms ? &*served_.blooms : nullptr;
   }
 
   /// Marks the backing files for deletion when the last reference drops
@@ -77,17 +71,14 @@ class LiveSegment {
 
  private:
   LiveSegment(std::uint64_t id, std::uint32_t doc_base, std::uint32_t doc_count,
-              SegmentReader reader, std::optional<DocMap> doc_map,
+              ServedSegment served, std::optional<DocMap> doc_map,
               std::string seg_path, std::string map_path);
 
   std::uint64_t id_;
   std::uint32_t doc_base_;
   std::uint32_t doc_count_;
-  SegmentReader reader_;
+  ServedSegment served_;
   std::optional<DocMap> doc_map_;
-  std::vector<std::uint32_t> max_tfs_;     // by term ordinal; empty = no sidecar
-  std::optional<BlockIndex> block_index_;  // skip tables; nullopt = no sidecar
-  std::optional<BloomSidecar> blooms_;     // rejection filters; nullopt = no sidecar
   std::string seg_path_;
   std::string map_path_;
   std::atomic<bool> obsolete_{false};
@@ -161,8 +152,7 @@ class LiveSnapshot {
   /// score-bound ingredient, valid because max over concatenated postings
   /// is the max of per-part maxima. Deliberately NOT tombstone-filtered: a
   /// too-high bound only weakens pruning, never correctness. nullopt when
-  /// the term is absent or any segment holding it lacks a sidecar (a
-  /// partial max would under-cover).
+  /// the term is absent.
   [[nodiscard]] std::optional<std::uint32_t> max_tf(std::string_view term) const;
 
   /// Postings of `term` across every segment plus the memtable, globally
@@ -174,14 +164,12 @@ class LiveSnapshot {
   /// Block-level cursor over `term` across every segment plus the
   /// memtable, globally doc-id ordered; nullptr when no part knows the
   /// term. RAW, like lookup() — so size() (the df) agrees between the
-  /// pruned and exhaustive executors. Segments with a skip table serve
-  /// zero-copy block cursors (each pinning its segment); segments without
-  /// decode once; the memtable serves borrowed block refs pinning the
-  /// arena.
+  /// pruned and exhaustive executors. Segments serve zero-copy block
+  /// cursors (each pinning its segment); the memtable serves borrowed block
+  /// refs pinning the arena.
   ///
   /// `with_positions` asks for current_positions() support on every part:
-  /// skip-table segment cursors serve positions natively (lazy per-block
-  /// re-decode); sidecar-less segments then decode positionally up front;
+  /// segment cursors serve positions natively (lazy per-block re-decode);
   /// the memtable part is materialized as a positional decoded cursor
   /// (its position chunks do not align with posting chunk boundaries, so
   /// borrowed block refs cannot carry them).

@@ -69,13 +69,13 @@ struct RewriteStats {
 /// decodes every list, drops postings of tombstoned documents (and their
 /// positions), and re-encodes the survivors. Slower than the §III.F byte
 /// concatenation — used only when the window still carries dead postings.
-/// Writes the merged segment plus all three sidecars (.maxtf, .bmx, .blm)
-/// durably; terms whose every posting is dead vanish from the output.
+/// Writes the merged segment plus both sidecars (.bmx, .blm) durably;
+/// terms whose every posting is dead vanish from the output.
 /// Inputs must share one codec and be given in ascending disjoint doc-id
 /// order. (The concat merge cannot carry `.blm` forward — see
 /// postings/bloom.hpp — so the rewrite path is where merged segments
 /// regain their filters.)
-Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>& inputs,
+Expected<RewriteStats> rewrite_segments(const std::vector<const ServedSegment*>& inputs,
                                         const TombstoneSet& dead, PostingCodec codec,
                                         BloomOptions bloom, const std::string& out_path) {
   SegmentWriter writer(out_path, codec);
@@ -84,7 +84,7 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
   std::vector<PostingBlockEntry> blocks;
   std::vector<SegmentReader::TermCursor> cursors;
   cursors.reserve(inputs.size());
-  for (const auto* reader : inputs) cursors.emplace_back(*reader);
+  for (const auto* in : inputs) cursors.emplace_back(in->reader);
 
   std::vector<std::uint32_t> docs, tfs, positions;
   std::vector<std::uint32_t> out_docs, out_tfs, out_positions;
@@ -105,7 +105,7 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
     for (std::size_t i = 0; i < cursors.size(); ++i) {
       auto& c = cursors[i];
       if (!c.valid() || c.term() != term) continue;
-      inputs[i]->decode(c.meta(), docs, tfs, &positions);
+      inputs[i]->reader.decode(c.meta(), docs, tfs, &positions);
       c.next();
     }
 
@@ -142,7 +142,7 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
 
   RewriteStats stats;
   stats.terms = writer.term_count();
-  auto file_bytes = write_segment_files(out_path, writer.finish(), block_index, blooms);
+  auto file_bytes = write_segment_files(out_path, writer.finish(), block_index, &blooms);
   if (!file_bytes.has_value()) return file_bytes.error();
   stats.output_bytes = file_bytes.value();
   return stats;
@@ -234,11 +234,7 @@ struct IndexWriter::State {
   Expected<bool> run_one_compaction(bool full_reclaim);
   /// Removes every on-disk artifact of an uncommitted segment attempt.
   void remove_segment_files(std::uint64_t segment_id) {
-    const std::string seg = live_segment_path(dir, segment_id);
-    (void)io::env().remove_file(seg);
-    (void)io::env().remove_file(max_tf_sidecar_path(seg));
-    (void)io::env().remove_file(block_index_sidecar_path(seg));
-    (void)io::env().remove_file(bloom_sidecar_path(seg));
+    hetindex::remove_segment_files(live_segment_path(dir, segment_id));
     (void)io::env().remove_file(live_docmap_path(dir, segment_id));
   }
 };
@@ -557,7 +553,7 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
   };
 
   auto file_bytes = write_segment_files(live_segment_path(dir, segment_id), writer.finish(),
-                                        block_index, blooms);
+                                        block_index, &blooms);
   if (!file_bytes.has_value()) return fail(file_bytes.error());
 
   std::vector<std::string> urls;
@@ -733,19 +729,19 @@ Expected<bool> IndexWriter::State::run_one_compaction(bool full_reclaim) {
   };
 
   const WallTimer timer;
-  std::vector<const SegmentReader*> readers;
-  readers.reserve(inputs.size());
-  for (const auto& seg : inputs) readers.push_back(&seg->reader());
+  std::vector<const ServedSegment*> served;
+  served.reserve(inputs.size());
+  for (const auto& seg : inputs) served.push_back(&seg->served());
   std::uint64_t out_terms = 0;
   std::uint64_t out_bytes = 0;
   if (rewrite) {
-    const auto rewritten = rewrite_segments(readers, *dead, opts.codec, opts.bloom,
+    const auto rewritten = rewrite_segments(served, *dead, opts.codec, opts.bloom,
                                             live_segment_path(dir, out_id));
     if (!rewritten.has_value()) return fail(rewritten.error());
     out_terms = rewritten.value().terms;
     out_bytes = rewritten.value().output_bytes;
   } else {
-    const auto merged = merge_segments(readers, live_segment_path(dir, out_id));
+    const auto merged = merge_segments(served, live_segment_path(dir, out_id));
     if (!merged.has_value()) return fail(merged.error());
     out_terms = merged.value().terms;
     out_bytes = merged.value().output_bytes;

@@ -130,7 +130,11 @@ Expected<BloomSidecar> read_bloom_sidecar(const std::string& segment_path,
   const std::uint64_t term_count = r.u64();
   const std::uint64_t total_words = r.u64();
   if (term_count != expected_terms) return corrupt("bloom sidecar term count mismatch");
-  if (r.remaining() != (term_count + total_words) * 8) {
+  // Both counts come from the file, so compare them against the payload
+  // one at a time: their sum (or its byte size) can wrap around.
+  const std::uint64_t payload_words = r.remaining() / 8;
+  if (r.remaining() % 8 != 0 || term_count > payload_words ||
+      total_words != payload_words - term_count) {
     return corrupt("bloom sidecar truncated");
   }
   sidecar.bits_.resize(static_cast<std::size_t>(term_count));
@@ -138,6 +142,9 @@ Expected<BloomSidecar> read_bloom_sidecar(const std::string& segment_path,
   for (auto& bits : sidecar.bits_) {
     bits = r.u64();
     if (bits == 0 || bits % 64 != 0) return corrupt("bloom sidecar has a bad filter size");
+    if (words_for_bits(bits) > total_words - words_sum) {
+      return corrupt("bloom sidecar word count mismatch");
+    }
     words_sum += words_for_bits(bits);
     sidecar.word_begin_.push_back(words_sum);
   }

@@ -12,7 +12,7 @@
 /// results — only the amount of decode work (the
 /// `search_blooms_rejected_total` metric counts what they saved).
 ///
-/// Sidecar lifecycle mirrors `.maxtf`/`.bmx`: written next to every
+/// Sidecar lifecycle mirrors `.bmx`: written next to every
 /// freshly-encoded segment (batch build, memtable flush, rewrite merge),
 /// CRC-guarded, and *absent* after a §III.F byte-concatenation merge —
 /// concatenation cannot merge filters sized to each input's list, so
@@ -75,7 +75,7 @@ class BloomSidecar {
 /// `<segment path>.blm`.
 std::string bloom_sidecar_path(const std::string& segment_path);
 
-/// Writes the sidecar durably (CRC-guarded, like `.maxtf`/`.bmx`).
+/// Writes the sidecar durably (CRC-guarded, like `.bmx`).
 Status write_bloom_sidecar(const std::string& segment_path, const BloomSidecar& sidecar);
 
 /// Loads and validates the sidecar. kNotFound when absent (the caller

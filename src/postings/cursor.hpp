@@ -7,11 +7,12 @@
 /// from the skip table alone, without decoding a posting. Every backend
 /// implements it:
 ///
-///   segment + .bmx   seeks via the skip table; skipped blocks are never
+///   segment          seeks via the block index; skipped blocks are never
 ///                    decoded (the Block-Max fast path)
-///   runs / no .bmx   a decoded list behind the same interface, with
-///                    synthetic kPostingsBlockSize-doc blocks whose maxima
-///                    are computed lazily — skips save scoring, not decode
+///   decoded list     run files, memtable positions and cached lists behind
+///                    the same interface, with synthetic
+///                    kPostingsBlockSize-doc blocks whose maxima are
+///                    computed lazily — skips save scoring, not decode
 ///   live snapshot    per-segment cursors chained in doc_base order
 ///
 /// State machine: a cursor starts *shallow* at its first block — block
@@ -105,8 +106,8 @@ std::unique_ptr<PostingsCursor> make_segment_cursor(
     const std::uint8_t* blob, std::size_t blob_bytes, const PostingBlockEntry* entries,
     std::size_t entry_count, std::shared_ptr<const void> pin);
 
-/// Cursor over an already-decoded list (runs backend, segments without a
-/// skip-table sidecar, cached lists). Blocks are synthesized every
+/// Cursor over an already-decoded list (runs backend, positional memtable
+/// parts, cached lists). Blocks are synthesized every
 /// kPostingsBlockSize docs; block maxima are computed on first use.
 std::unique_ptr<PostingsCursor> make_decoded_cursor(
     std::shared_ptr<const QueryPostings> postings);

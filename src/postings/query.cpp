@@ -68,37 +68,11 @@ Expected<InvertedIndex> InvertedIndex::open(const std::string& dir,
   }
 
   if (backend == IndexBackend::kSegment) {
-    auto segment = SegmentReader::try_open(IndexLayout::segment_path(dir));
+    auto segment = open_served_segment(IndexLayout::segment_path(dir));
     if (!segment.has_value()) return segment.error();
     InvertedIndex idx;
-    idx.segment_ = std::make_unique<SegmentReader>(std::move(segment).value());
-    idx.ins_->bytes_mapped.set(static_cast<std::int64_t>(idx.segment_->mapped_bytes()));
-    // Sidecars are optional — absence (kNotFound) only costs the executor
-    // its tight bounds / block skipping — but one that is present yet
-    // truncated or corrupt must fail the open, never silently degrade.
-    auto bounds = read_max_tf_sidecar(idx.segment_->path(), idx.segment_->term_count());
-    if (bounds.has_value()) {
-      idx.max_tfs_ = std::move(bounds).value();
-    } else if (bounds.error().code != ErrorCode::kNotFound) {
-      return bounds.error();
-    }
-    auto blocks = read_block_index_sidecar(idx.segment_->path(), idx.segment_->term_count());
-    if (blocks.has_value()) {
-      // A structurally sound sidecar can still be stale (from an older
-      // segment under the same name); cross-check before letting it steer
-      // seeks over raw blobs.
-      auto consistent = validate_block_index(*idx.segment_, blocks.value());
-      if (!consistent.has_value()) return consistent.error();
-      idx.block_index_ = std::move(blocks).value();
-    } else if (blocks.error().code != ErrorCode::kNotFound) {
-      return blocks.error();
-    }
-    auto blooms = read_bloom_sidecar(idx.segment_->path(), idx.segment_->term_count());
-    if (blooms.has_value()) {
-      idx.blooms_ = std::move(blooms).value();
-    } else if (blooms.error().code != ErrorCode::kNotFound) {
-      return blooms.error();
-    }
+    idx.segment_ = std::make_unique<ServedSegment>(std::move(segment).value());
+    idx.ins_->bytes_mapped.set(static_cast<std::int64_t>(idx.segment_->reader.mapped_bytes()));
     return idx;
   }
 
@@ -134,14 +108,14 @@ const std::vector<DictionaryEntry>& InvertedIndex::entries() const {
 }
 
 std::uint64_t InvertedIndex::term_count() const {
-  return segment_ != nullptr ? segment_->term_count() : entries_.size();
+  return segment_ != nullptr ? segment_->reader.term_count() : entries_.size();
 }
 
 std::optional<std::uint32_t> InvertedIndex::max_tf(std::string_view term) const {
-  if (segment_ == nullptr || max_tfs_.empty()) return std::nullopt;
-  const auto ordinal = segment_->find(term);
+  if (segment_ == nullptr) return std::nullopt;
+  const auto ordinal = segment_->reader.find(term);
   if (!ordinal) return std::nullopt;
-  return max_tfs_[static_cast<std::size_t>(*ordinal)];
+  return segment_->blocks.term_max_tf(*ordinal);
 }
 
 const DictionaryEntry* InvertedIndex::find_entry(std::string_view term) const {
@@ -153,7 +127,7 @@ const DictionaryEntry* InvertedIndex::find_entry(std::string_view term) const {
 }
 
 std::vector<std::string> InvertedIndex::terms_with_prefix(std::string_view prefix) const {
-  if (segment_ != nullptr) return segment_->terms_with_prefix(prefix);
+  if (segment_ != nullptr) return segment_->reader.terms_with_prefix(prefix);
   std::vector<std::string> out;
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), prefix,
@@ -168,7 +142,7 @@ std::vector<std::string> InvertedIndex::terms_with_prefix(std::string_view prefi
 
 void InvertedIndex::for_each_term(const std::function<void(std::string_view)>& fn) const {
   if (segment_ != nullptr) {
-    segment_->for_each_term([&](std::string_view term, std::uint64_t) {
+    segment_->reader.for_each_term([&](std::string_view term, std::uint64_t) {
       fn(term);
       return true;
     });
@@ -184,13 +158,14 @@ std::optional<QueryPostings> InvertedIndex::lookup_impl(std::string_view term,
   QueryPostings out;
   auto* positions = positional ? &out.positions : nullptr;
   if (segment_ != nullptr) {
-    const auto ordinal = segment_->find(term);
+    const SegmentReader& reader = segment_->reader;
+    const auto ordinal = reader.find(term);
     if (!ordinal) {
       ins_->misses.add();
       return std::nullopt;
     }
-    const auto m = segment_->meta(*ordinal);
-    segment_->decode(m, out.doc_ids, out.tfs, positions);
+    const auto m = reader.meta(*ordinal);
+    reader.decode(m, out.doc_ids, out.tfs, positions);
     ins_->postings_decoded.add(m.count);
     ins_->bytes_decoded.add(m.bytes);
     return out;
@@ -212,25 +187,26 @@ std::optional<QueryPostings> InvertedIndex::lookup(std::string_view term) const 
 
 std::unique_ptr<PostingsCursor> InvertedIndex::open_cursor(std::string_view term,
                                                            bool with_positions) const {
-  if (segment_ != nullptr && block_index_.has_value()) {
+  if (segment_ != nullptr) {
     ins_->lookups.add();
     const LatencyScope latency(ins_->lookup_micros);
-    const auto ordinal = segment_->find(term);
+    const SegmentReader& reader = segment_->reader;
+    const auto ordinal = reader.find(term);
     if (!ordinal) {
       ins_->misses.add();
       return nullptr;
     }
-    const auto m = segment_->meta(*ordinal);
+    const auto m = reader.meta(*ordinal);
     if (m.count == 0) return nullptr;
-    const auto blob = segment_->raw_blob(m);
-    const auto rows = block_index_->blocks(*ordinal);
+    const auto blob = reader.raw_blob(m);
+    const auto rows = segment_->blocks.blocks(*ordinal);
     // Zero-copy: decode cost accrues only for the blocks the cursor enters,
     // so nothing is added to the decode counters here.
     return make_segment_cursor(blob.first, blob.second, rows.first, rows.second,
                                /*pin=*/nullptr);
   }
-  // No skip table loaded: serve the identical interface over a decoded
-  // list (lookup_impl does the lookup/miss/decode accounting). Positional
+  // Run files: serve the identical interface over a decoded list
+  // (lookup_impl does the lookup/miss/decode accounting). Positional
   // cursors decode positions with the list.
   auto decoded = lookup_impl(term, /*positional=*/with_positions);
   if (!decoded.has_value() || decoded->doc_ids.empty()) return nullptr;
@@ -243,13 +219,13 @@ std::optional<QueryPostings> InvertedIndex::lookup_positional(std::string_view t
 
 BloomChain InvertedIndex::bloom_chain(std::string_view term) const {
   BloomChain chain;
-  if (segment_ == nullptr || !blooms_.has_value()) return chain;
-  const auto ordinal = segment_->find(term);
+  if (segment_ == nullptr || !segment_->blooms.has_value()) return chain;
+  const auto ordinal = segment_->reader.find(term);
   if (!ordinal) return chain;
   // One segment owns every doc of a batch index, so the single link covers
   // the whole doc-id space — the filter was built over the full list and
   // can answer for any candidate.
-  chain.add_link({0, 0xFFFFFFFFu, &*blooms_, *ordinal});
+  chain.add_link({0, 0xFFFFFFFFu, &*segment_->blooms, *ordinal});
   return chain;
 }
 
@@ -262,19 +238,20 @@ std::optional<QueryPostings> InvertedIndex::lookup_range(std::string_view term,
   if (runs_touched) *runs_touched = 0;
 
   if (segment_ != nullptr) {
-    const auto ordinal = segment_->find(term);
+    const SegmentReader& reader = segment_->reader;
+    const auto ordinal = reader.find(term);
     if (!ordinal) {
       ins_->misses.add();
       return std::nullopt;
     }
     QueryPostings out;
-    const auto m = segment_->meta(*ordinal);
+    const auto m = reader.meta(*ordinal);
     // Per-term range narrowing: the table row carries the blob's doc range,
     // so a non-overlapping query skips the decode entirely.
     if (m.max_doc < min_doc || m.min_doc > max_doc) return out;
     if (runs_touched) *runs_touched = 1;
     QueryPostings raw;
-    segment_->decode(m, raw.doc_ids, raw.tfs);
+    reader.decode(m, raw.doc_ids, raw.tfs);
     ins_->postings_decoded.add(m.count);
     ins_->bytes_decoded.add(m.bytes);
     for (std::size_t i = 0; i < raw.doc_ids.size(); ++i) {

@@ -88,12 +88,12 @@ class InvertedIndex {
 
   /// Block-level cursor over `term`'s postings (see postings/cursor.hpp);
   /// nullptr when the term is unknown or its list is empty. Segment-backed
-  /// with a loaded skip table this is a zero-copy blob cursor that decodes
-  /// only the blocks it lands on; otherwise it wraps a decoded list. The
-  /// cursor borrows the index — it must not outlive this object.
-  /// `with_positions` asks for current_positions() support: the segment
-  /// cursor serves positions natively (lazy per-block re-decode); the
-  /// decoded fallback then materializes the positional list up front.
+  /// this is a zero-copy blob cursor that decodes only the blocks it lands
+  /// on; run-file backed it wraps a decoded list. The cursor borrows the
+  /// index — it must not outlive this object. `with_positions` asks for
+  /// current_positions() support: the segment cursor serves positions
+  /// natively (lazy per-block re-decode); the run-file cursor then
+  /// materializes the positional list up front.
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_cursor(
       std::string_view term, bool with_positions = false) const;
 
@@ -120,28 +120,24 @@ class InvertedIndex {
   /// is only valid during the call (segment terms are decoded on the fly).
   void for_each_term(const std::function<void(std::string_view)>& fn) const;
 
-  /// Per-term maximum term frequency from the score-bound sidecar
-  /// (segment backend, `index.seg.maxtf` present — see postings/segment.hpp);
-  /// nullopt for unknown terms or when no sidecar was loaded. The top-k
-  /// executor turns this into a BM25 score upper bound for early
-  /// termination, falling back to the loose idf·(k1+1) bound otherwise.
+  /// Per-term maximum term frequency, from the segment's block index (see
+  /// postings/segment.hpp); nullopt for unknown terms and on the run-file
+  /// backend. The top-k executor turns this into a BM25 score upper bound
+  /// for early termination, falling back to the loose idf·(k1+1) bound
+  /// otherwise.
   [[nodiscard]] std::optional<std::uint32_t> max_tf(std::string_view term) const;
-  /// True when per-term score bounds were loaded at open().
-  [[nodiscard]] bool has_score_bounds() const { return !max_tfs_.empty(); }
-  /// True when the block skip-table sidecar (`index.seg.bmx`) was loaded at
-  /// open() — the precondition for Block-Max skipping over raw blobs.
-  [[nodiscard]] bool has_block_index() const { return block_index_.has_value(); }
-  /// True when the Bloom sidecar (`index.seg.blm`) was loaded at open().
-  [[nodiscard]] bool has_blooms() const { return blooms_.has_value(); }
   /// The term's Bloom rejection chain (postings/bloom.hpp): empty — never
-  /// rejects — when no sidecar was loaded or the term is unknown. The
-  /// chain borrows this index and must not outlive it.
+  /// rejects — when the segment has no `.blm`, the index is run-file backed
+  /// or the term is unknown. The chain borrows this index and must not
+  /// outlive it.
   [[nodiscard]] BloomChain bloom_chain(std::string_view term) const;
 
   /// True when serving from a compacted segment.
   [[nodiscard]] bool segment_backed() const { return segment_ != nullptr; }
   /// The underlying segment reader; nullptr when run-file backed.
-  [[nodiscard]] const SegmentReader* segment() const { return segment_.get(); }
+  [[nodiscard]] const SegmentReader* segment() const {
+    return segment_ != nullptr ? &segment_->reader : nullptr;
+  }
 
   /// Raw dictionary entries — run-file backend only (the segment never
   /// materializes them); hard-fails otherwise. Prefer for_each_term().
@@ -167,10 +163,7 @@ class InvertedIndex {
   std::unique_ptr<ReadInstruments> ins_;
   std::vector<DictionaryEntry> entries_;  // sorted by term (run-file backend)
   std::vector<RunFile> runs_;             // ascending run id (run-file backend)
-  std::unique_ptr<SegmentReader> segment_;
-  std::vector<std::uint32_t> max_tfs_;     // by term ordinal; empty = no sidecar
-  std::optional<BlockIndex> block_index_;  // skip tables; nullopt = no sidecar
-  std::optional<BloomSidecar> blooms_;     // rejection filters; nullopt = no sidecar
+  std::unique_ptr<ServedSegment> segment_;  // nullptr = run-file backend
 };
 
 }  // namespace hetindex

@@ -24,22 +24,9 @@ constexpr std::size_t kHeaderBytes = 80;
 constexpr std::size_t kFooterBytes = 16;
 constexpr std::size_t kTableRowBytes = 24;
 
-constexpr std::uint32_t kMaxTfMagic = 0x46544D48;  // "HMTF"
-constexpr std::uint32_t kMaxTfVersion = 1;
-
 constexpr std::uint32_t kBlockIndexMagic = 0x584D4248;  // "HBMX"
 constexpr std::uint32_t kBlockIndexVersion = 1;
 constexpr std::size_t kBlockEntryBytes = 24;
-
-/// Removes a segment and its sidecars — the failure path of every writer
-/// (a torn sidecar would be rejected by CRC, but leaving one next to a
-/// removed segment just confuses the next open).
-void remove_segment_outputs(const std::string& seg_path) {
-  (void)io::env().remove_file(seg_path);
-  (void)io::env().remove_file(max_tf_sidecar_path(seg_path));
-  (void)io::env().remove_file(block_index_sidecar_path(seg_path));
-  (void)io::env().remove_file(bloom_sidecar_path(seg_path));
-}
 
 /// vbyte_encode into a raw buffer; with out == nullptr it only measures.
 std::size_t put_vbyte(std::uint8_t* out, std::uint64_t v) {
@@ -138,69 +125,6 @@ void seal_segment(std::vector<std::uint8_t>& image, const SegmentShape& shape) {
 
 }  // namespace
 
-// ------------------------------------------------------------- maxtf sidecar
-
-std::string max_tf_sidecar_path(const std::string& segment_path) {
-  return segment_path + ".maxtf";
-}
-
-Status write_max_tf_sidecar(const std::string& segment_path,
-                            const std::vector<std::uint32_t>& max_tfs) {
-  std::vector<std::uint8_t> out;
-  out.reserve(20 + 4 * max_tfs.size());
-  ByteWriter w(out);
-  w.u32(kMaxTfMagic);
-  w.u32(kMaxTfVersion);
-  w.u64(max_tfs.size());
-  for (const std::uint32_t tf : max_tfs) w.u32(tf);
-  w.u32(crc32(out.data(), out.size()));
-  return io::durable_write_file(max_tf_sidecar_path(segment_path), out);
-}
-
-Expected<std::vector<std::uint32_t>> read_max_tf_sidecar(const std::string& segment_path,
-                                                         std::uint64_t expected_terms) {
-  const std::string path = max_tf_sidecar_path(segment_path);
-  const auto corrupt = [&path](const char* what) {
-    return Error{ErrorCode::kCorrupt, std::string(what) + ": " + path};
-  };
-  if (!file_exists(path)) {
-    return Error{ErrorCode::kNotFound, "no max-tf sidecar: " + path};
-  }
-  const auto data = read_file(path);
-  if (data.size() < 20) return corrupt("max-tf sidecar too small (truncated?)");
-  if (crc32(data.data(), data.size() - 4) !=
-      ByteReader(data.data() + (data.size() - 4), 4).u32()) {
-    return corrupt("max-tf sidecar corruption (crc mismatch)");
-  }
-  ByteReader r(data.data(), data.size() - 4);
-  if (r.u32() != kMaxTfMagic) return corrupt("not a max-tf sidecar");
-  if (r.u32() != kMaxTfVersion) {
-    return Error{ErrorCode::kUnsupported, "unsupported max-tf sidecar version: " + path};
-  }
-  const std::uint64_t count = r.u64();
-  if (count != expected_terms || r.remaining() != count * 4) {
-    return corrupt("max-tf sidecar term count mismatch");
-  }
-  std::vector<std::uint32_t> max_tfs(static_cast<std::size_t>(count));
-  for (auto& tf : max_tfs) tf = r.u32();
-  return max_tfs;
-}
-
-std::vector<std::uint32_t> compute_max_tfs(const SegmentReader& reader) {
-  std::vector<std::uint32_t> max_tfs;
-  max_tfs.reserve(static_cast<std::size_t>(reader.term_count()));
-  std::vector<std::uint32_t> doc_ids, tfs;
-  for (std::uint64_t ord = 0; ord < reader.term_count(); ++ord) {
-    doc_ids.clear();
-    tfs.clear();
-    reader.decode(reader.meta(ord), doc_ids, tfs);
-    std::uint32_t mx = 0;
-    for (const std::uint32_t tf : tfs) mx = std::max(mx, tf);
-    max_tfs.push_back(mx);
-  }
-  return max_tfs;
-}
-
 // ------------------------------------------------------------- .bmx sidecar
 
 void BlockIndex::add_term(const std::vector<PostingBlockEntry>& entries) {
@@ -213,6 +137,9 @@ void BlockIndex::add_terms(const PostingBlockEntry* rows, const std::uint32_t* c
   std::size_t total = 0;
   for (std::size_t i = 0; i < terms; ++i) {
     HET_CHECK_MSG(counts[i] > 0, "block index terms must have blocks");
+    std::uint32_t mx = 0;
+    for (std::size_t b = total; b < total + counts[i]; ++b) mx = std::max(mx, rows[b].max_tf);
+    max_tf_.push_back(mx);
     total += counts[i];
     begin_.push_back(entries_.size() + total);
   }
@@ -221,6 +148,7 @@ void BlockIndex::add_terms(const PostingBlockEntry* rows, const std::uint32_t* c
 
 void BlockIndex::reserve(std::uint64_t terms, std::uint64_t blocks) {
   begin_.reserve(static_cast<std::size_t>(terms + 1));
+  max_tf_.reserve(static_cast<std::size_t>(terms));
   entries_.reserve(static_cast<std::size_t>(blocks));
 }
 
@@ -233,10 +161,8 @@ std::pair<const PostingBlockEntry*, std::size_t> BlockIndex::blocks(
 }
 
 std::uint32_t BlockIndex::term_max_tf(std::uint64_t ordinal) const {
-  const auto [entries, count] = blocks(ordinal);
-  std::uint32_t mx = 0;
-  for (std::size_t i = 0; i < count; ++i) mx = std::max(mx, entries[i].max_tf);
-  return mx;
+  HET_CHECK(ordinal < term_count());
+  return max_tf_[static_cast<std::size_t>(ordinal)];
 }
 
 std::string block_index_sidecar_path(const std::string& segment_path) {
@@ -295,7 +221,11 @@ Expected<BlockIndex> read_block_index_sidecar(const std::string& segment_path,
   if (term_count != expected_terms) {
     return corrupt("block-index sidecar term count mismatch");
   }
-  if (r.remaining() != term_count * 4 + total_blocks * kBlockEntryBytes) {
+  // Bound each count by the payload before multiplying: a hostile count
+  // could otherwise wrap the size product onto the real payload size.
+  if (term_count > r.remaining() / 4 ||
+      total_blocks > (r.remaining() - term_count * 4) / kBlockEntryBytes ||
+      r.remaining() != term_count * 4 + total_blocks * kBlockEntryBytes) {
     return corrupt("block-index sidecar truncated");
   }
   std::vector<std::uint32_t> counts(static_cast<std::size_t>(term_count));
@@ -387,6 +317,39 @@ Status validate_block_index(const SegmentReader& reader, const BlockIndex& index
     }
   }
   return Unit{};
+}
+
+Expected<ServedSegment> open_served_segment(const std::string& path) {
+  auto reader = SegmentReader::try_open(path);
+  if (!reader.has_value()) return reader.error();
+  ServedSegment seg{std::move(reader).value(), {}, std::nullopt};
+  const std::uint64_t terms = seg.reader.term_count();
+  auto blocks = read_block_index_sidecar(path, terms);
+  if (blocks.has_value()) {
+    // A structurally sound sidecar can still be stale (from an older
+    // segment under the same name); cross-check before letting it steer
+    // seeks over raw blobs.
+    auto consistent = validate_block_index(seg.reader, blocks.value());
+    if (!consistent.has_value()) return consistent.error();
+    seg.blocks = std::move(blocks).value();
+  } else if (blocks.error().code == ErrorCode::kNotFound) {
+    seg.blocks = compute_block_index(seg.reader);
+  } else {
+    return blocks.error();
+  }
+  auto blooms = read_bloom_sidecar(path, terms);
+  if (blooms.has_value()) {
+    seg.blooms = std::move(blooms).value();
+  } else if (blooms.error().code != ErrorCode::kNotFound) {
+    return blooms.error();
+  }
+  return seg;
+}
+
+void remove_segment_files(const std::string& seg_path) {
+  (void)io::env().remove_file(seg_path);
+  (void)io::env().remove_file(block_index_sidecar_path(seg_path));
+  (void)io::env().remove_file(bloom_sidecar_path(seg_path));
 }
 
 SegmentWriter::SegmentWriter(std::string path, PostingCodec codec,
@@ -673,58 +636,28 @@ void SegmentReader::TermCursor::next() {
   }
 }
 
-Expected<SegmentMergeStats> merge_segments(
-    const std::vector<const SegmentReader*>& inputs, const std::string& out_path) {
+Expected<SegmentMergeStats> merge_segments(const std::vector<const ServedSegment*>& inputs,
+                                           const std::string& out_path) {
   HET_CHECK_MSG(!inputs.empty(), "segment merge requires at least one input");
-  const PostingCodec codec = inputs.front()->codec();
+  const PostingCodec codec = inputs.front()->reader.codec();
   for (const auto* in : inputs) {
-    HET_CHECK_MSG(in->codec() == codec, "segment merge requires a uniform posting codec");
+    HET_CHECK_MSG(in->reader.codec() == codec,
+                  "segment merge requires a uniform posting codec");
   }
 
   SegmentMergeStats stats;
   stats.segments = inputs.size();
   SegmentWriter writer(out_path, codec);
-
-  // Score-bound sidecars propagate without decoding: the max_tf of a
-  // concatenated list is the max of the inputs' per-term maxima, and the
-  // merged skip table is the inputs' block rows with a byte-offset fix-up.
-  // Only written when every input carries one — a partial merge would
-  // produce bounds that silently under-cover the uncovered input. A missing
-  // sidecar degrades; a corrupt or unreadable one is a structured refusal
-  // (merging around it would launder the corruption into the output).
-  std::vector<std::vector<std::uint32_t>> input_max_tfs;
-  bool all_have_max_tfs = true;
-  for (const auto* in : inputs) {
-    auto side = read_max_tf_sidecar(in->path(), in->term_count());
-    if (!side) {
-      if (side.error().code != ErrorCode::kNotFound) return side.error();
-      all_have_max_tfs = false;
-      break;
-    }
-    input_max_tfs.push_back(std::move(side).value());
-  }
-  std::vector<std::uint32_t> out_max_tfs;
-
-  std::vector<BlockIndex> input_bmx;
-  bool all_have_bmx = true;
-  for (const auto* in : inputs) {
-    auto side = read_block_index_sidecar(in->path(), in->term_count());
-    if (!side) {
-      if (side.error().code != ErrorCode::kNotFound) return side.error();
-      all_have_bmx = false;
-      break;
-    }
-    input_bmx.push_back(std::move(side).value());
-  }
-  BlockIndex out_bmx;
+  BlockIndex out_blocks;
 
   // K-way cursor merge. K is the merge factor (a handful), so a linear
   // min-scan per output term beats the heap's constant factor.
   std::vector<SegmentReader::TermCursor> cursors;
   cursors.reserve(inputs.size());
-  for (const auto* in : inputs) cursors.emplace_back(*in);
+  for (const auto* in : inputs) cursors.emplace_back(in->reader);
 
   std::vector<std::uint8_t> blob;
+  std::vector<PostingBlockEntry> term_blocks;
   while (true) {
     const std::string* min_term = nullptr;
     for (const auto& c : cursors) {
@@ -739,91 +672,62 @@ Expected<SegmentMergeStats> merge_segments(
     // sub-list starts with an absolute doc id (§III.F), so the combined
     // blob decodes as one list provided doc ranges ascend across inputs.
     blob.clear();
-    std::vector<PostingBlockEntry> term_blocks;
-    std::uint32_t count = 0, mn = 0, mx = 0, max_tf = 0;
+    term_blocks.clear();
+    std::uint32_t count = 0, mn = 0, mx = 0;
     for (std::size_t i = 0; i < cursors.size(); ++i) {
       auto& c = cursors[i];
       if (!c.valid() || c.term() != term) continue;
       const auto m = c.meta();
       HET_CHECK_MSG(count == 0 || m.min_doc > mx,
                     "doc ids must be globally increasing across segments");
-      if (all_have_bmx) {
-        // Skip-table fix-up: the input's block rows are reused verbatim,
-        // shifted by the bytes this term's blob already holds.
-        const auto [rows, n_rows] = input_bmx[i].blocks(c.ordinal());
-        for (std::size_t k = 0; k < n_rows; ++k) {
-          PostingBlockEntry row = rows[k];
-          row.offset += blob.size();
-          term_blocks.push_back(row);
-        }
+      // Skip-table fix-up: the input's block rows are reused verbatim,
+      // shifted by the bytes this term's blob already holds.
+      const auto [rows, n_rows] = inputs[i]->blocks.blocks(c.ordinal());
+      for (std::size_t k = 0; k < n_rows; ++k) {
+        PostingBlockEntry row = rows[k];
+        row.offset += blob.size();
+        term_blocks.push_back(row);
       }
-      const auto [bytes, len] = inputs[i]->raw_blob(m);
+      const auto [bytes, len] = inputs[i]->reader.raw_blob(m);
       blob.insert(blob.end(), bytes, bytes + len);
       stats.input_bytes += len;
       if (count == 0) mn = m.min_doc;
       mx = m.max_doc;
       count += m.count;
-      if (all_have_max_tfs) {
-        max_tf = std::max(max_tf, input_max_tfs[i][static_cast<std::size_t>(c.ordinal())]);
-      }
       c.next();
     }
     writer.add_term(term, blob.data(), blob.size(), count, mn, mx);
-    if (all_have_max_tfs) out_max_tfs.push_back(max_tf);
-    if (all_have_bmx) out_bmx.add_term(term_blocks);
+    out_blocks.add_term(term_blocks);
     ++stats.terms;
     stats.postings += count;
   }
-  auto output_bytes = writer.finalize();
-  if (!output_bytes.has_value()) {
-    remove_segment_outputs(out_path);
-    return output_bytes.error();
-  }
+  auto output_bytes = write_segment_files(out_path, writer.finish(), out_blocks, nullptr);
+  if (!output_bytes.has_value()) return output_bytes.error();
   stats.output_bytes = output_bytes.value();
-  if (all_have_max_tfs) {
-    auto side = write_max_tf_sidecar(out_path, out_max_tfs);
-    if (!side.has_value()) {
-      remove_segment_outputs(out_path);
-      return side.error();
-    }
-  }
-  if (all_have_bmx) {
-    auto side = write_block_index_sidecar(out_path, out_bmx);
-    if (!side.has_value()) {
-      remove_segment_outputs(out_path);
-      return side.error();
-    }
-  }
-  // Bloom filters do NOT propagate through a byte-concatenation merge:
-  // each input's filters are sized to its own lists, and OR-ing unequal
-  // filters is meaningless. The merged segment serves without one
-  // (degrade: no rejection) until a rewrite merge rebuilds it; make sure
-  // no stale sidecar from a recycled path lingers.
-  (void)io::env().remove_file(bloom_sidecar_path(out_path));
   return stats;
 }
 
 Expected<std::uint64_t> write_segment_files(const std::string& seg_path,
                                             std::vector<std::uint8_t> image,
                                             const BlockIndex& blocks,
-                                            const BloomSidecar& blooms) {
-  HET_CHECK(blocks.term_count() == blooms.term_count());
+                                            const BloomSidecar* blooms) {
+  HET_CHECK(blooms == nullptr || blocks.term_count() == blooms->term_count());
   const std::uint64_t file_bytes = image.size();
   // Sequential and in a fixed order, so a fault trace (and the crash
   // harness replaying it) is the same for every writer.
   auto written = io::durable_write_file(seg_path, image);
   std::vector<std::uint8_t>().swap(image);  // on disk now; the sidecars need no copy
-  if (written.has_value()) {
-    std::vector<std::uint32_t> max_tfs(static_cast<std::size_t>(blocks.term_count()));
-    for (std::uint64_t ord = 0; ord < blocks.term_count(); ++ord) {
-      max_tfs[static_cast<std::size_t>(ord)] = blocks.term_max_tf(ord);
-    }
-    written = write_max_tf_sidecar(seg_path, max_tfs);
-  }
   if (written.has_value()) written = write_block_index_sidecar(seg_path, blocks);
-  if (written.has_value()) written = write_bloom_sidecar(seg_path, blooms);
+  if (written.has_value()) {
+    if (blooms != nullptr) {
+      written = write_bloom_sidecar(seg_path, *blooms);
+    } else {
+      // No filters from a recycled path may pose as this segment's.
+      (void)io::env().remove_file(bloom_sidecar_path(seg_path));
+    }
+  }
   if (!written.has_value()) {
-    remove_segment_outputs(seg_path);
+    remove_segment_files(seg_path);
     return written.error();
   }
   return file_bytes;
@@ -984,7 +888,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   // 4. Fold every range straight into the final image: dictionary bytes,
   //    table rows and blob copies at their precomputed offsets. Each run
   //    part is decoded once, as it is copied, for its .bmx rows and Bloom
-  //    bits (.maxtf derives from the rows).
+  //    bits.
   std::vector<std::uint8_t> image(static_cast<std::size_t>(shape.file_bytes()));
   std::uint8_t* const dict_area = image.data() + kHeaderBytes;
   std::uint8_t* const table_area = dict_area + shape.dict_bytes;
@@ -1071,7 +975,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   seal_segment(image, shape);
 
   auto output_bytes = write_segment_files(IndexLayout::segment_path(dir), std::move(image),
-                                          block_index, blooms);
+                                          block_index, &blooms);
   if (!output_bytes.has_value()) return output_bytes.error();
   stats.output_bytes = output_bytes.value();
   return stats;

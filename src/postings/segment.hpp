@@ -33,12 +33,11 @@
 #include "codec/posting_codecs.hpp"
 #include "dict/dictionary.hpp"
 #include "io/mmap_file.hpp"
+#include "postings/bloom.hpp"
 #include "postings/run_file.hpp"
 #include "util/error.hpp"
 
 namespace hetindex {
-
-class BloomSidecar;
 
 /// Terms per front-coded dictionary block. Small enough that a lookup
 /// scans a handful of suffixes, large enough that the in-memory block
@@ -208,48 +207,15 @@ class SegmentReader {
 };
 
 // ------------------------------------------------------------------------
-// Score-bound sidecar. MaxScore-style top-k pruning (src/search/topk.hpp)
-// needs a per-term upper bound on any document's BM25 contribution. The
-// tf-dependent part of that bound is max_tf — the largest term frequency
-// in the term's postings list — which is known at build time and stable
-// under the §III.F byte-concatenation merge (the max over a concatenation
-// is the max of the per-input maxes, so compaction propagates sidecars
-// without decoding a single posting). The idf part depends on collection
-// statistics that change with every live commit, so it is computed at
-// query time from the table row's `count` instead of being persisted.
-//
-// The sidecar is strictly optional: a segment without one still serves
-// every query — the executor just falls back to the looser tf-independent
-// bound idf·(k1+1). Layout (`<segment>.maxtf`): magic, version, term
-// count, one u32 max_tf per term in term order, CRC32 footer.
-
-/// `<segment_path>.maxtf`.
-std::string max_tf_sidecar_path(const std::string& segment_path);
-
-/// Writes the sidecar for a segment with `max_tfs.size()` terms, durably.
-/// kIo on failure (no partial sidecar remains — a missing sidecar only
-/// loosens score bounds, a torn one would be rejected by CRC anyway).
-Status write_max_tf_sidecar(const std::string& segment_path,
-                            const std::vector<std::uint32_t>& max_tfs);
-
-/// Reads a sidecar back; kNotFound when absent, kCorrupt on CRC/structure
-/// mismatch or when the term count disagrees with `expected_terms`.
-Expected<std::vector<std::uint32_t>> read_max_tf_sidecar(const std::string& segment_path,
-                                                         std::uint64_t expected_terms);
-
-/// Decodes every postings list of `reader` once and returns per-term
-/// max_tf in term order — the recompute oracle for a written sidecar.
-std::vector<std::uint32_t> compute_max_tfs(const SegmentReader& reader);
-
-// ------------------------------------------------------------------------
 // Block-index sidecar. Postings blobs are written as back-to-back blocks of
 // ≤ kPostingsBlockSize docs (each re-anchored at an absolute doc id). The
 // `.bmx` sidecar stores one skip-table row per block — offset/bytes (seek),
 // last_doc (skip target) and count/max_tf (Block-Max score bounds) — so a
-// cursor can jump and bound whole blocks without decoding them. Like the
-// max-tf sidecar it is optional (serving falls back to decoded cursors) and
-// it survives the §III.F merge without a decode: concatenating blobs just
-// concatenates their block rows with a byte-offset fix-up.
+// cursor can jump and bound whole blocks without decoding them. A term's
+// whole-list max_tf (the MaxScore bound of src/search/topk.hpp) is the max
+// of its rows' max_tf, so the block index serves that too. It survives the
+// §III.F merge without a decode: concatenating blobs just concatenates
+// their block rows with a byte-offset fix-up.
 //
 // Layout (`<segment>.bmx`): magic, version, term count, total block count,
 // per-term u32 block counts, then the flat entry rows in term order, CRC32
@@ -267,18 +233,18 @@ class BlockIndex {
                  std::size_t terms);
   void reserve(std::uint64_t terms, std::uint64_t blocks);
 
-  [[nodiscard]] std::uint64_t term_count() const { return begin_.size() - 1; }
+  [[nodiscard]] std::uint64_t term_count() const { return max_tf_.size(); }
   [[nodiscard]] std::uint64_t total_blocks() const { return entries_.size(); }
   /// The block rows of term `ordinal`, in blob order.
   [[nodiscard]] std::pair<const PostingBlockEntry*, std::size_t> blocks(
       std::uint64_t ordinal) const;
-  /// max over the term's block max_tfs — the whole-list bound the `.maxtf`
-  /// sidecar stores, derived here for free.
+  /// max over the term's block max_tfs: the largest tf in its whole list.
   [[nodiscard]] std::uint32_t term_max_tf(std::uint64_t ordinal) const;
 
  private:
   std::vector<PostingBlockEntry> entries_;
   std::vector<std::uint64_t> begin_{0};  ///< per-term start into entries_
+  std::vector<std::uint32_t> max_tf_;    ///< per term, kept as rows arrive
 };
 
 /// `<segment_path>.bmx`.
@@ -295,7 +261,7 @@ Expected<BlockIndex> read_block_index_sidecar(const std::string& segment_path,
                                               std::uint64_t expected_terms);
 
 /// Decodes every blob once, recovering each block's row from the sub-list
-/// boundaries — the rebuild path for a segment without a sidecar, and the
+/// boundaries — the rebuild path for a segment without `.bmx`, and the
 /// oracle in tests: a fold's or a merge's written sidecar must equal this
 /// recompute.
 BlockIndex compute_block_index(const SegmentReader& reader);
@@ -305,16 +271,38 @@ BlockIndex compute_block_index(const SegmentReader& reader);
 /// disagreement — a stale sidecar must never steer a cursor.
 Status validate_block_index(const SegmentReader& reader, const BlockIndex& index);
 
+/// One segment as the read path serves it: the mapped file, its block
+/// index, and its Bloom filters when it has them.
+struct ServedSegment {
+  SegmentReader reader;
+  BlockIndex blocks;
+  std::optional<BloomSidecar> blooms;  ///< nullopt: no `.blm`, never rejects
+};
+
+/// Opens the segment at `path` for serving. The block index is read from
+/// `.bmx` and validated against the segment table; a segment without one
+/// (written before the sidecar existed) gets its rows rebuilt in memory by
+/// compute_block_index. `.blm` is optional (concat merges drop it). Errors
+/// are those of SegmentReader::try_open, or those of a sidecar that is
+/// present but corrupt, stale or of a future version — never a silent
+/// degrade.
+Expected<ServedSegment> open_served_segment(const std::string& path);
+
+/// Removes a segment file and its sidecars (best effort, through the Env so
+/// a fault trace sees the unlinks): the failure path of every writer and
+/// the reclamation of compacted-away live segments.
+void remove_segment_files(const std::string& seg_path);
+
 /// The durable write tail of every freshly encoded segment (batch fold,
-/// live flush, rewrite merge): the segment `image` (as built by
-/// SegmentWriter::finish or the fold), then `.maxtf` — each term's max over
-/// its `blocks` rows' max_tf — then `.bmx` and `.blm`, each written and
-/// fsynced in that order. Returns the segment's size; on kIo no output of
-/// `seg_path` is left behind.
+/// live flush, merges): the segment `image` (as built by
+/// SegmentWriter::finish or the fold), then `.bmx`, then `.blm` — each
+/// written and fsynced in that order. Without `blooms` (a concat merge) no
+/// `.blm` is written and a stale one at `seg_path` is removed. Returns the
+/// segment's size; on kIo no output of `seg_path` is left behind.
 Expected<std::uint64_t> write_segment_files(const std::string& seg_path,
                                             std::vector<std::uint8_t> image,
                                             const BlockIndex& blocks,
-                                            const BloomSidecar& blooms);
+                                            const BloomSidecar* blooms);
 
 /// What a segment build folded together.
 struct SegmentBuildStats {
@@ -325,7 +313,7 @@ struct SegmentBuildStats {
   std::uint64_t output_bytes = 0;  ///< segment file size
 };
 
-/// Folds the given run files into `<dir>/index.seg` and its three sidecars
+/// Folds the given run files into `<dir>/index.seg` and its two sidecars
 /// using the already loaded dictionary entries (sorted by term) — the
 /// writer path shared by PipelineEngine (entries still in memory at
 /// finalize) and compact_index (entries re-read from disk). Blobs
@@ -356,12 +344,15 @@ struct SegmentMergeStats {
 /// Merges already-built segments into one new segment at `out_path`
 /// without decoding postings: terms stream through a k-way cursor merge
 /// and equal terms' blobs concatenate byte-wise (§III.F — every sub-list's
-/// first doc id is absolute). Inputs must share one codec and be given in
-/// ascending, pairwise-disjoint doc-id order; per-term order is verified
+/// first doc id is absolute), and so do their block rows, shifted by the
+/// bytes already in front of them. Inputs must share one codec and be given
+/// in ascending, pairwise-disjoint doc-id order; per-term order is verified
 /// from the table metadata. This is the compaction primitive of the live
-/// indexing layer (docs/LIVE_INDEXING.md). kIo when the output cannot be
-/// written durably; the partial output (and its sidecar) is removed.
-Expected<SegmentMergeStats> merge_segments(
-    const std::vector<const SegmentReader*>& inputs, const std::string& out_path);
+/// indexing layer (docs/LIVE_INDEXING.md). The output has no `.blm`: each
+/// input's filters are sized to its own lists and cannot be concatenated.
+/// kIo when the output cannot be written durably; no partial output is
+/// left behind.
+Expected<SegmentMergeStats> merge_segments(const std::vector<const ServedSegment*>& inputs,
+                                           const std::string& out_path);
 
 }  // namespace hetindex

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "search/types.hpp"
 #include "util/check.hpp"
 
 namespace hetindex {
@@ -448,21 +447,6 @@ Expected<Query> parse_query(std::string_view text) {
   auto root = parser.parse();
   if (!root) return root.error();
   return Query::from_node(std::move(*root));
-}
-
-Query effective_query(const QueryRequest& request) {
-  if (!request.query.empty()) return request.query;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // One-release shim: the deprecated flat fields map onto the AST shapes
-  // that reproduce their historical semantics exactly.
-  switch (request.mode) {
-    case QueryMode::kConjunctive: return Query::conjunction(request.terms);
-    case QueryMode::kDisjunctive: return Query::disjunction(request.terms);
-    case QueryMode::kRanked:
-    default: return Query::bag(request.terms);
-  }
-#pragma GCC diagnostic pop
 }
 
 }  // namespace hetindex

@@ -97,8 +97,7 @@ constexpr const char* query_class_name(QueryClass c) {
 
 /// A parsed query: an immutable AST behind a value type. Build one with
 /// parse_query() or the factories; an empty Query (default-constructed)
-/// makes a QueryRequest fall back to its deprecated terms/mode fields for
-/// one release.
+/// has no leaf terms and is rejected by every backend.
 class Query {
  public:
   Query() = default;
@@ -151,13 +150,5 @@ class Query {
 /// (kInvalidArgument): empty query, unbalanced parens or quotes, empty
 /// phrase, NEAR over non-term operands, mixed NEAR windows, NEAR/0.
 [[nodiscard]] Expected<Query> parse_query(std::string_view text);
-
-struct QueryRequest;  // search/types.hpp
-
-/// The request's AST: `request.query` when set, else the deprecated
-/// terms/mode pair converted to the equivalent AST (bag / AND-of-terms /
-/// OR-of-terms). Every backend resolves the request through this one
-/// function, so legacy requests keep working for one release.
-[[nodiscard]] Query effective_query(const QueryRequest& request);
 
 }  // namespace hetindex

@@ -472,7 +472,7 @@ Expected<QueryResponse> Searcher::search(
     const QueryRequest& request,
     std::optional<std::chrono::steady_clock::time_point> deadline) const {
   const WallTimer total_timer;
-  const Query query = effective_query(request);
+  const Query& query = request.query;
   if (query.empty()) {
     return Error{ErrorCode::kInvalidArgument, "query has no terms"};
   }

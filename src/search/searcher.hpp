@@ -115,8 +115,7 @@ class Searcher : public SearchBackend {
   /// Answers one request against an absolute deadline that may predate
   /// this call — SearchService passes the deadline computed at submit time
   /// so queue wait counts against the budget. The request's Query AST
-  /// (effective_query: `request.query`, falling back to the deprecated
-  /// terms/mode pair) picks the executor; the response's `classified`
+  /// picks the executor; the response's `classified`
   /// reports the derived QueryClass. Errors: kInvalidArgument (empty
   /// query, malformed scatter stats, phrase/NEAR over a non-positional
   /// index, ranked without a DocMap), kDeadlineExceeded (expired on

@@ -18,29 +18,6 @@
 
 namespace hetindex {
 
-/// How the terms of the deprecated flat request form combine. Superseded
-/// by the Query AST (query_ast.hpp), whose root operator expresses the
-/// same three shapes plus phrase/proximity; kept one release so legacy
-/// QueryRequest::mode call sites keep compiling.
-enum class QueryMode {
-  kRanked,       ///< BM25 top-k, any matching term contributes (default)
-  kConjunctive,  ///< docs containing every term, ranked by summed tf
-  kDisjunctive,  ///< docs containing any term, ranked by summed tf
-};
-
-/// Stable lowercase identifier for logs and CLI flags. Total: any
-/// out-of-range value (a stale serialized int, a miscast) reads as
-/// "unknown" instead of falling off the switch. Names match
-/// query_class_name() for the three classes both can express.
-constexpr const char* query_mode_name(QueryMode mode) {
-  switch (mode) {
-    case QueryMode::kRanked: return "ranked";
-    case QueryMode::kConjunctive: return "conjunctive";
-    case QueryMode::kDisjunctive: return "disjunctive";
-    default: return "unknown";
-  }
-}
-
 /// How complete a response is. PR 4 conflated every partial answer in one
 /// `degraded` bool; the cluster tier needs to distinguish "the deadline cut
 /// execution short" from "a shard shed" from "a shard was unreachable", so
@@ -72,8 +49,7 @@ constexpr const char* degradation_name(Degradation d) {
 struct ScatterStats {
   std::uint64_t n_docs = 0;            ///< live documents, cluster-wide
   double avgdl = 0;                    ///< global mean tokens per live doc
-  /// Raw df per query leaf term, parallel to Query::collect_terms() order
-  /// (for a legacy flat request that order equals the terms vector).
+  /// Raw df per query leaf term, parallel to Query::collect_terms() order.
   std::vector<std::uint64_t> term_dfs;
 };
 
@@ -83,20 +59,9 @@ struct ScatterStats {
 /// the factories don't — see normalize_term); duplicates are honored, not
 /// deduplicated — a repeated term scores twice, matching the historical
 /// bm25_query behaviour.
-// The pragma region silences the deprecation warnings GCC raises while
-// synthesizing QueryRequest's own special members (they copy the
-// deprecated fields); uses at call sites still warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct QueryRequest {
-  /// The structured query. When empty (default-constructed), backends fall
-  /// back to the deprecated terms/mode pair below via effective_query() —
-  /// a one-release shim.
+  /// The structured query; an empty one is rejected with kInvalidArgument.
   Query query;
-  [[deprecated("build a Query AST (QueryRequest::query) instead")]]
-  std::vector<std::string> terms;
-  [[deprecated("the Query AST root expresses the mode; see query_ast.hpp")]]
-  QueryMode mode = QueryMode::kRanked;
   std::size_t k = 10;
   /// Execution budget; zero means no deadline. The clock starts when the
   /// request enters the system (SearchService::submit), so queue wait
@@ -118,7 +83,6 @@ struct QueryRequest {
   /// part of the cache key, and a cached local-stats answer would be wrong.
   std::shared_ptr<const ScatterStats> scatter;
 };
-#pragma GCC diagnostic pop
 
 /// Where the wall time of one request went, in seconds.
 struct QueryTimings {

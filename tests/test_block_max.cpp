@@ -7,7 +7,7 @@
 //              and block bounds must dominate every real contribution
 //   executor   Block-Max MaxScore == the exhaustive scorer, bit-identical
 //              docs and scores, across batch / live / merged segments,
-//              with and without the .bmx and .maxtf sidecars
+//              with the .bmx sidecar and with its rows rebuilt at open
 //   plumbing   merged .bmx equals a recompute oracle, corrupt .bmx fails
 //              the open (no silent degrade), and pruning provably fires
 //              (search_blocks_skipped_total > 0) on a prunable workload
@@ -279,28 +279,47 @@ std::vector<std::vector<std::string>> sample_queries(
   return queries;
 }
 
+/// Bit-identical docs and scores in two answers to one request.
+void expect_same_hits(const Expected<QueryResponse>& a, const Expected<QueryResponse>& b,
+                      std::size_t k) {
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  ASSERT_EQ(a.value().hits.size(), b.value().hits.size());
+  for (std::size_t i = 0; i < a.value().hits.size(); ++i) {
+    ASSERT_EQ(a.value().hits[i].doc_id, b.value().hits[i].doc_id)
+        << "rank " << i << " k=" << k;
+    ASSERT_EQ(a.value().hits[i].score, b.value().hits[i].score)
+        << "rank " << i << " k=" << k;
+  }
+}
+
+QueryRequest pruned_request(const std::vector<std::string>& terms, std::size_t k) {
+  QueryRequest request;
+  request.query = Query::bag(terms);
+  request.k = k;
+  request.use_result_cache = false;
+  return request;
+}
+
 /// Bit-identical docs and scores between the pruned and exhaustive engines.
 void expect_identical_rankings(const Searcher& searcher,
                                const std::vector<std::vector<std::string>>& queries,
                                std::size_t k) {
   for (const auto& terms : queries) {
-    QueryRequest fast;
-    fast.query = Query::bag(terms);
-    fast.k = k;
-    fast.use_result_cache = false;
+    const QueryRequest fast = pruned_request(terms, k);
     QueryRequest slow = fast;
     slow.exhaustive = true;
-    const auto a = searcher.search(fast);
-    const auto b = searcher.search(slow);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    ASSERT_EQ(a.value().hits.size(), b.value().hits.size());
-    for (std::size_t i = 0; i < a.value().hits.size(); ++i) {
-      ASSERT_EQ(a.value().hits[i].doc_id, b.value().hits[i].doc_id)
-          << "rank " << i << " k=" << k;
-      ASSERT_EQ(a.value().hits[i].score, b.value().hits[i].score)
-          << "rank " << i << " k=" << k;
-    }
+    expect_same_hits(searcher.search(fast), searcher.search(slow), k);
+  }
+}
+
+/// Bit-identical pruned rankings from two searchers over the same docs.
+void expect_same_results(const Searcher& a, const Searcher& b,
+                         const std::vector<std::vector<std::string>>& queries,
+                         std::size_t k) {
+  for (const auto& terms : queries) {
+    const QueryRequest request = pruned_request(terms, k);
+    expect_same_hits(a.search(request), b.search(request), k);
   }
 }
 
@@ -341,6 +360,23 @@ LiveStack build_live_stack(std::uint64_t seed) {
   return s;
 }
 
+/// The block index must equal the decode-pass recompute of its segment.
+void expect_block_index_matches_oracle(const BlockIndex& got_index,
+                                       const SegmentReader& reader) {
+  const auto oracle = compute_block_index(reader);
+  ASSERT_EQ(got_index.term_count(), oracle.term_count());
+  ASSERT_EQ(got_index.total_blocks(), oracle.total_blocks());
+  for (std::uint64_t ord = 0; ord < oracle.term_count(); ++ord) {
+    const auto [got, got_n] = got_index.blocks(ord);
+    const auto [want, want_n] = oracle.blocks(ord);
+    ASSERT_EQ(got_n, want_n) << "term " << ord;
+    for (std::size_t i = 0; i < want_n; ++i) {
+      ASSERT_EQ(got[i], want[i]) << "term " << ord << " block " << i;
+    }
+    ASSERT_EQ(got_index.term_max_tf(ord), oracle.term_max_tf(ord)) << "term " << ord;
+  }
+}
+
 TEST(BlockMaxEquivalence, LiveThenStrippedSidecarsThenMerged) {
   auto stack = build_live_stack(0xB10C);
   const auto queries = sample_queries(stack.vocab, 30, 21);
@@ -348,70 +384,87 @@ TEST(BlockMaxEquivalence, LiveThenStrippedSidecarsThenMerged) {
   const auto multi = stack.writer->snapshot();
   ASSERT_GT(multi->segments().size(), 1u);
   for (const auto& seg : multi->segments()) {
-    ASSERT_NE(seg->block_index(), nullptr);  // flush wrote every .bmx
+    ASSERT_TRUE(std::filesystem::exists(
+        block_index_sidecar_path(live_segment_path(stack.live_dir->path(), seg->id()))));
   }
-  {  // full sidecars: zero-copy block cursors end to end
+  {  // zero-copy block cursors end to end
     const auto searcher_ptr = Searcher::open(SearchSource::snapshot(multi)).value();
     const Searcher& searcher = *searcher_ptr;
     expect_identical_rankings(searcher, queries, 10);
     expect_identical_rankings(searcher, queries, 1);
   }
 
-  // Strip the sidecars on a copy (the original keeps them so compaction
-  // below exercises the fix-up path, not the recompute-less fallback).
+  // Strip the .bmx files on a copy (the original keeps them so compaction
+  // below exercises the fix-up path): the reopened segments rebuild the
+  // same rows in memory and rank bit-identically.
   TempDir stripped("stripped");
   std::filesystem::copy(stack.live_dir->path(), stripped.path(),
                         std::filesystem::copy_options::recursive |
                             std::filesystem::copy_options::overwrite_existing);
-  {  // no .bmx: decoded-cursor fallback must change nothing
-    for (const auto& seg : multi->segments()) {
-      std::filesystem::remove(block_index_sidecar_path(
-          live_segment_path(stripped.path(), seg->id())));
-    }
-    const auto reopened = LiveIndex::open(stripped.path()).value();
-    for (const auto& seg : reopened.snapshot()->segments()) {
-      EXPECT_EQ(seg->block_index(), nullptr);
-    }
-    const auto searcher_ptr = Searcher::open(SearchSource::snapshot(reopened.snapshot())).value();
-    const Searcher& searcher = *searcher_ptr;
-    expect_identical_rankings(searcher, queries, 10);
+  for (const auto& seg : multi->segments()) {
+    std::filesystem::remove(
+        block_index_sidecar_path(live_segment_path(stripped.path(), seg->id())));
   }
-
-  {  // no .maxtf either: loose bounds, still exact
-    for (const auto& seg : multi->segments()) {
-      std::filesystem::remove(max_tf_sidecar_path(
-          live_segment_path(stripped.path(), seg->id())));
-    }
+  {
     const auto reopened = LiveIndex::open(stripped.path()).value();
-    const auto searcher_ptr = Searcher::open(SearchSource::snapshot(reopened.snapshot())).value();
-    const Searcher& searcher = *searcher_ptr;
-    expect_identical_rankings(searcher, queries, 10);
+    ASSERT_EQ(reopened.snapshot()->segments().size(), multi->segments().size());
+    for (const auto& seg : reopened.snapshot()->segments()) {
+      expect_block_index_matches_oracle(seg->block_index(), seg->reader());
+    }
+    const auto pruned_ptr = Searcher::open(SearchSource::snapshot(reopened.snapshot())).value();
+    const auto sidecar_ptr = Searcher::open(SearchSource::snapshot(multi)).value();
+    expect_identical_rankings(*pruned_ptr, queries, 10);
+    expect_same_results(*pruned_ptr, *sidecar_ptr, queries, 10);
   }
 
   // Merged: compaction fixes up the skip tables per block (§III.F byte
   // concatenation — offsets shift, maxima take max) without decoding. The
-  // merged sidecar must equal a from-scratch recompute.
+  // merged block index must equal a from-scratch recompute.
   stack.writer->compact_now();
   const auto merged = stack.writer->snapshot();
   ASSERT_LT(merged->segments().size(), multi->segments().size());
   for (const auto& seg : merged->segments()) {
-    const auto* bmx = seg->block_index();
-    ASSERT_NE(bmx, nullptr);
-    const auto oracle = compute_block_index(seg->reader());
-    ASSERT_EQ(bmx->term_count(), oracle.term_count());
-    ASSERT_EQ(bmx->total_blocks(), oracle.total_blocks());
-    for (std::uint64_t ord = 0; ord < oracle.term_count(); ++ord) {
-      const auto [got, got_n] = bmx->blocks(ord);
-      const auto [want, want_n] = oracle.blocks(ord);
-      ASSERT_EQ(got_n, want_n) << "term " << ord;
-      for (std::size_t i = 0; i < want_n; ++i) {
-        ASSERT_EQ(got[i], want[i]) << "term " << ord << " block " << i;
-      }
-    }
+    expect_block_index_matches_oracle(seg->block_index(), seg->reader());
   }
   const auto searcher_ptr = Searcher::open(SearchSource::snapshot(merged)).value();
   const Searcher& searcher = *searcher_ptr;
   expect_identical_rankings(searcher, queries, 10);
+}
+
+TEST(BlockMaxEquivalence, BatchIndexWithoutSkipTableRebuildsIt) {
+  TempDir corpus_dir("ncorpus");
+  TempDir index_dir("nindex");
+  CollectionSpec spec = wikipedia_like();
+  spec.total_bytes = 128 << 10;
+  spec.seed = 0x5B1D;
+  const auto coll = generate_collection(spec, corpus_dir.path());
+  IndexBuilder builder;
+  builder.parsers(1).cpu_indexers(1).emit_segment(true);
+  builder.build(coll.paths(), index_dir.path());
+  TempDir stripped("nstripped");
+  std::filesystem::copy(index_dir.path(), stripped.path(),
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  const auto stripped_seg = IndexLayout::segment_path(stripped.path());
+  std::filesystem::remove(block_index_sidecar_path(stripped_seg));
+  {
+    const auto served = open_served_segment(stripped_seg);
+    ASSERT_TRUE(served.has_value()) << served.error().to_string();
+    expect_block_index_matches_oracle(served.value().blocks, served.value().reader);
+  }
+
+  const auto with = InvertedIndex::open(index_dir.path(), {}).value();
+  const auto without = InvertedIndex::open(stripped.path(), {}).value();
+  std::vector<std::string> vocab;
+  with.for_each_term([&vocab](std::string_view t) { vocab.emplace_back(t); });
+  for (const auto& term : vocab) ASSERT_EQ(with.max_tf(term), without.max_tf(term)) << term;
+  const auto with_docs = DocMap::open(doc_map_path(index_dir.path()));
+  const auto without_docs = DocMap::open(doc_map_path(stripped.path()));
+  const auto with_ptr = Searcher::open(SearchSource::batch(with, with_docs)).value();
+  const auto without_ptr = Searcher::open(SearchSource::batch(without, without_docs)).value();
+  const auto queries = sample_queries(vocab, 25, 37);
+  expect_identical_rankings(*without_ptr, queries, 10);
+  expect_same_results(*without_ptr, *with_ptr, queries, 10);
 }
 
 TEST(BlockMaxEquivalence, BatchIndexMatchesExhaustive) {
@@ -425,7 +478,6 @@ TEST(BlockMaxEquivalence, BatchIndexMatchesExhaustive) {
   builder.parsers(1).cpu_indexers(1).emit_segment(true);
   builder.build(coll.paths(), index_dir.path());
   const auto index = InvertedIndex::open(index_dir.path(), {}).value();
-  ASSERT_TRUE(index.has_block_index());  // build wrote the skip table
   const auto docs = DocMap::open(doc_map_path(index_dir.path()));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
   const Searcher& searcher = *searcher_ptr;
@@ -477,7 +529,6 @@ TEST(BlockMax, SkipsBlocksOnPrunableWorkload) {
   builder.parsers(1).cpu_indexers(1).emit_segment(true);
   builder.build({corpus}, dir.path() + "/index");
   const auto index = InvertedIndex::open(dir.path() + "/index", {}).value();
-  ASSERT_TRUE(index.has_block_index());
   const auto map = DocMap::open(doc_map_path(dir.path() + "/index"));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, map)).value();
   const Searcher& searcher = *searcher_ptr;

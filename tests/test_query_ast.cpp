@@ -2,9 +2,9 @@
 // canonical-form round trips through parse_query/to_string, randomized
 // phrase/NEAR equivalence against a naive positional-join oracle over
 // batch and live indexes (memtable-resident docs, deletes, and
-// post-compaction state), Bloom-filter on/off bit-identity with the
-// search_blooms_rejected_total counter, and the deprecated terms/mode
-// request shim. The TSan and ASan tier-1 legs both run this file.
+// post-compaction state), and Bloom-filter on/off bit-identity with the
+// search_blooms_rejected_total counter. The TSan and ASan tier-1 legs both
+// run this file.
 
 #include <gtest/gtest.h>
 
@@ -123,9 +123,8 @@ TEST(QueryFactories, EmptyInputsYieldTheEmptyQuery) {
 }
 
 TEST(QueryFactories, SingleTermBooleanKeepsItsClass) {
-  // QueryMode::kConjunctive / kDisjunctive historically ranked by summed
-  // tf without a DocMap, so a one-term legacy request must not collapse
-  // into the BM25-ranked class through the shim.
+  // One-term AND and OR queries rank by summed tf without a DocMap, so
+  // they must not collapse into the BM25-ranked class.
   EXPECT_EQ(Query::conjunction({"alpha"}).query_class(), QueryClass::kConjunctive);
   EXPECT_EQ(Query::disjunction({"alpha"}).query_class(), QueryClass::kDisjunctive);
   EXPECT_EQ(Query::bag({"alpha"}).query_class(), QueryClass::kRanked);
@@ -529,52 +528,6 @@ TEST(BloomIdentity, ConjunctionsBitIdenticalWithFiltersOff) {
   EXPECT_GT(filtered->metrics().snapshot().counter("search_blooms_rejected_total"), 0u);
   EXPECT_EQ(unfiltered->metrics().snapshot().counter("search_blooms_rejected_total"),
             0u);
-}
-
-// ------------------------------------------------- deprecated shim parity
-
-TEST(LegacyShim, DeprecatedTermsAndModeMatchTheAstForms) {
-  TempDir corpus_dir("shcorpus");
-  TempDir index_dir("shindex");
-  const auto corpus = make_corpus(corpus_dir.path(), 64 << 10, 0x5A1);
-  IndexBuilder builder;
-  builder.parsers(1).cpu_indexers(1).emit_segment(true);
-  builder.build(corpus.files, index_dir.path());
-  const auto index = InvertedIndex::open(index_dir.path(), {}).value();
-  const auto docs = DocMap::open(doc_map_path(index_dir.path()));
-  const auto searcher = Searcher::open(SearchSource::batch(index, docs)).value();
-
-  std::vector<std::string> vocab;
-  index.for_each_term([&vocab](std::string_view t) { vocab.emplace_back(t); });
-  ASSERT_GT(vocab.size(), 2u);
-  const std::vector<std::string> terms = {vocab[0], vocab[vocab.size() / 2]};
-
-  struct ModeShim {
-    QueryMode mode;
-    Query (*make)(std::vector<std::string>);
-  };
-  const ModeShim shims[] = {{QueryMode::kRanked, &Query::bag},
-                            {QueryMode::kConjunctive, &Query::conjunction},
-                            {QueryMode::kDisjunctive, &Query::disjunction}};
-  for (const auto& shim : shims) {
-    QueryRequest legacy;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    legacy.terms = terms;
-    legacy.mode = shim.mode;
-#pragma GCC diagnostic pop
-    legacy.use_result_cache = false;
-    QueryRequest modern;
-    modern.query = shim.make(terms);
-    modern.use_result_cache = false;
-    const auto a = searcher->search(legacy);
-    const auto b = searcher->search(modern);
-    ASSERT_TRUE(a.has_value()) << a.error().to_string();
-    ASSERT_TRUE(b.has_value()) << b.error().to_string();
-    EXPECT_EQ(a.value().query_class(), b.value().query_class());
-    expect_hits_equal(a.value().hits, b.value().hits,
-                      std::string("shim ") + query_mode_name(shim.mode));
-  }
 }
 
 }  // namespace

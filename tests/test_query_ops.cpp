@@ -1,5 +1,5 @@
 // Tests for boolean retrieval operators and index verification. Query-level
-// conjunction goes through the Searcher facade (QueryMode::kConjunctive) —
+// conjunction goes through the Searcher facade (Query::conjunction) —
 // the old conjunctive_query free function is gone.
 
 #include <gtest/gtest.h>

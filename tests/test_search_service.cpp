@@ -1,14 +1,14 @@
 // Search-serving tests (docs/SERVING.md): ranked-result equivalence
 // between the Block-Max MaxScore executor and the exhaustive baseline on
-// randomized corpora (batch and live backends, with and without
-// score-bound sidecars; tests/test_block_max.cpp extends this across
-// merges and skip-table variants), the per-snapshot collection-stats
-// cache (the recompute counter must stay flat across queries),
-// result-cache hits and implicit invalidation across snapshot changes,
-// admission control (shed when the queue saturates, reject when a
-// deadline expires while queued), the max-tf and block-index sidecar
-// formats and their propagation through merges, and searches racing live
-// flush/compaction (the TSan tier-1 leg runs this file).
+// randomized corpora (batch and live backends, and the run-file backend's
+// loose bounds; tests/test_block_max.cpp extends this across merges and
+// skip-table variants), the per-snapshot collection-stats cache (the
+// recompute counter must stay flat across queries), result-cache hits and
+// implicit invalidation across snapshot changes, admission control (shed
+// when the queue saturates, reject when a deadline expires while queued),
+// the block-index and Bloom sidecar formats (hostile bytes included) and
+// max-tf bounds through merges, and searches racing live flush/compaction
+// (the TSan and ASan tier-1 legs run this file).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "core/hetindex.hpp"
+#include "util/binary_io.hpp"
+#include "util/crc32.hpp"
 
 namespace hetindex {
 namespace {
@@ -140,7 +142,6 @@ class BatchServeFixture : public ::testing::Test {
 
 TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRandomQueries) {
   const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
-  ASSERT_TRUE(index.has_score_bounds());  // built segments carry the sidecar
   const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
   const Searcher& searcher = *searcher_ptr;
@@ -150,18 +151,14 @@ TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRandomQueries) {
   }
 }
 
-TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveWithoutSidecar) {
-  // Remove the sidecar: bounds fall back to the loose idf·(k1+1) cap,
-  // which must change nothing but pruning effectiveness.
-  TempDir copy("nosidecar");
-  std::filesystem::copy(index_dir_->path(), copy.path(),
-                        std::filesystem::copy_options::recursive |
-                            std::filesystem::copy_options::overwrite_existing);
-  std::filesystem::remove(
-      max_tf_sidecar_path(IndexLayout::segment_path(copy.path())));
-  const auto index = InvertedIndex::open(copy.path(), {}).value();
-  EXPECT_FALSE(index.has_score_bounds());
-  const auto docs = DocMap::open(doc_map_path(copy.path()));
+TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveWithLooseBounds) {
+  // The run-file backend has no block index, so its bounds fall back to
+  // the loose idf·(k1+1) cap, which must change nothing but pruning
+  // effectiveness.
+  const auto index = InvertedIndex::open(index_dir_->path(), {IndexBackend::kRuns}).value();
+  ASSERT_FALSE(index.segment_backed());
+  EXPECT_FALSE(index.max_tf(batch_vocabulary(index).front()).has_value());
+  const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
   const Searcher& searcher = *searcher_ptr;
   expect_identical_rankings(searcher, sample_queries(batch_vocabulary(index), 20, 2),
@@ -508,46 +505,7 @@ TEST(Facade, DoclessSearcherServesBooleanButRejectsRanked) {
   EXPECT_EQ(empty.error().code, ErrorCode::kInvalidArgument);
 }
 
-// --------------------------------------------------- score-bound sidecar
-
-TEST_F(BatchServeFixture, SidecarRoundTripsAndRejectsCorruption) {
-  const auto seg_path = IndexLayout::segment_path(index_dir_->path());
-  const auto reader = SegmentReader::open(seg_path);
-  const auto expected = compute_max_tfs(reader);
-
-  const auto loaded = read_max_tf_sidecar(seg_path, reader.term_count());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded.value(), expected);  // build-time pass wrote the truth
-
-  TempDir scratch("sidecar");
-  const auto copy = scratch.path() + "/index.seg";
-  std::filesystem::copy(seg_path, copy);
-  write_max_tf_sidecar(copy, expected);
-
-  {  // wrong term count → kCorrupt
-    const auto r = read_max_tf_sidecar(copy, reader.term_count() + 1);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  {  // flipped payload byte → CRC mismatch
-    std::fstream f(max_tf_sidecar_path(copy),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(16);
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(16);
-    byte = static_cast<char>(byte ^ 0x5A);
-    f.write(&byte, 1);
-    f.close();
-    const auto r = read_max_tf_sidecar(copy, reader.term_count());
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  std::filesystem::remove(max_tf_sidecar_path(copy));
-  const auto r = read_max_tf_sidecar(copy, reader.term_count());
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kNotFound);
-}
+// ---------------------------------------------------------- sidecars
 
 TEST_F(BatchServeFixture, BlockIndexSidecarRoundTripsAndRejectsCorruption) {
   const auto seg_path = IndexLayout::segment_path(index_dir_->path());
@@ -606,6 +564,64 @@ TEST_F(BatchServeFixture, BlockIndexSidecarRoundTripsAndRejectsCorruption) {
   EXPECT_EQ(absent.error().code, ErrorCode::kNotFound);
 }
 
+TEST_F(BatchServeFixture, SidecarCountsThatWrapAreCorrupt) {
+  // CRC-valid sidecars whose counts, multiplied out to bytes, wrap past
+  // 2^64 onto the few payload bytes actually present.
+  TempDir copy("wrap");
+  std::filesystem::copy(index_dir_->path(), copy.path(),
+                        std::filesystem::copy_options::recursive |
+                            std::filesystem::copy_options::overwrite_existing);
+  const auto seg_path = IndexLayout::segment_path(copy.path());
+  const std::uint64_t terms = SegmentReader::open(seg_path).term_count();
+  const auto expect_corrupt_open = [&copy] {
+    const auto opened = InvertedIndex::open(copy.path(), {});
+    ASSERT_FALSE(opened.has_value());
+    EXPECT_EQ(opened.error().code, ErrorCode::kCorrupt);
+  };
+  const auto seal = [](std::vector<std::uint8_t>& bytes) {
+    ByteWriter(bytes).u32(crc32(bytes.data(), bytes.size()));
+  };
+
+  {  // .blm: (terms + words) * 8 == 8
+    std::vector<std::uint8_t> bytes;
+    ByteWriter w(bytes);
+    w.u32(0x4D4C4248);  // "HBLM"
+    w.u32(1);           // version
+    w.u32(10);          // bits per element
+    w.u32(7);           // hashes
+    w.u64(terms);
+    w.u64((std::uint64_t{1} << 61) - terms + 1);
+    w.u64(64);  // the one payload word
+    seal(bytes);
+    write_file(bloom_sidecar_path(seg_path), bytes);
+    const auto read = read_bloom_sidecar(seg_path, terms);
+    ASSERT_FALSE(read.has_value());
+    EXPECT_EQ(read.error().code, ErrorCode::kCorrupt);
+    expect_corrupt_open();
+    std::filesystem::remove(bloom_sidecar_path(seg_path));
+  }
+  {  // .bmx: terms * 4 + blocks * 24 == payload, a 4- or 8-byte remainder
+    const std::uint64_t payload = terms % 2 == 0 ? 8 : 4;
+    const std::uint64_t rows_bytes = payload - terms * 4;  // wraps; a multiple of 8
+    // blocks * 24 == rows_bytes (mod 2^64); 0xAA..AB is 3's inverse.
+    const std::uint64_t blocks = rows_bytes / 8 * 0xAAAAAAAAAAAAAAABull;
+    ASSERT_EQ(terms * 4 + blocks * 24, payload);
+    std::vector<std::uint8_t> bytes;
+    ByteWriter w(bytes);
+    w.u32(0x584D4248);  // "HBMX"
+    w.u32(1);           // version
+    w.u64(terms);
+    w.u64(blocks);
+    bytes.resize(bytes.size() + payload, 1);
+    seal(bytes);
+    write_file(block_index_sidecar_path(seg_path), bytes);
+    const auto read = read_block_index_sidecar(seg_path, terms);
+    ASSERT_FALSE(read.has_value());
+    EXPECT_EQ(read.error().code, ErrorCode::kCorrupt);
+    expect_corrupt_open();
+  }
+}
+
 TEST(Sidecar, BoundsSurviveMergesAndMatchTrueMaxima) {
   TempDir corpus_dir("mcorpus");
   TempDir live_dir("mlive");
@@ -645,6 +661,19 @@ TEST(Sidecar, BoundsSurviveMergesAndMatchTrueMaxima) {
   const auto merged = w.snapshot();
   ASSERT_LT(merged->segments().size(), multi->segments().size());
   check_bounds(*merged);
+  // Per segment, the block index's whole-list maximum is the decoded one.
+  std::vector<std::uint32_t> docs, tfs;
+  for (const auto& seg : merged->segments()) {
+    const SegmentReader& reader = seg->reader();
+    for (std::uint64_t ord = 0; ord < reader.term_count(); ++ord) {
+      docs.clear();
+      tfs.clear();
+      reader.decode(reader.meta(ord), docs, tfs);
+      ASSERT_EQ(seg->block_index().term_max_tf(ord),
+                *std::max_element(tfs.begin(), tfs.end()))
+          << "segment " << seg->id() << " term " << ord;
+    }
+  }
 }
 
 // -------------------------------- searches racing flushes and compaction

@@ -492,11 +492,11 @@ std::vector<std::uint8_t> serial_fold(const std::string& dir, const FoldInput& i
 
 using SegmentFiles = std::map<std::string, std::vector<std::uint8_t>>;
 
-/// `<dir>/index.seg` and its three sidecars, keyed by suffix.
+/// `<dir>/index.seg` and its two sidecars, keyed by suffix.
 SegmentFiles read_segment_files(const std::string& dir) {
   const std::string seg = IndexLayout::segment_path(dir);
   SegmentFiles files;
-  for (const std::string suffix : {"", ".maxtf", ".bmx", ".blm"}) {
+  for (const std::string suffix : {"", ".bmx", ".blm"}) {
     EXPECT_TRUE(std::filesystem::exists(seg + suffix)) << seg + suffix;
     if (std::filesystem::exists(seg + suffix)) files[suffix] = read_file(seg + suffix);
   }
@@ -504,7 +504,7 @@ SegmentFiles read_segment_files(const std::string& dir) {
 }
 
 /// Folds at widths 1, 2, 3 and the hardware width; every width must write
-/// the same four files, the segment must equal the serial oracle, and the
+/// the same three files, the segment must equal the serial oracle, and the
 /// sidecars must equal the decode-pass recomputes of the re-opened segment.
 void expect_fold_identical_across_widths(const std::string& dir, const FoldInput& in,
                                          std::uint64_t expect_terms) {
@@ -532,10 +532,8 @@ void expect_fold_identical_across_widths(const std::string& dir, const FoldInput
   write_file(copy, reference[""]);
   const auto reader = SegmentReader::open(copy);
   EXPECT_EQ(reader.term_count(), expect_terms);
-  ASSERT_TRUE(write_max_tf_sidecar(copy, compute_max_tfs(reader)).has_value());
   ASSERT_TRUE(write_block_index_sidecar(copy, compute_block_index(reader)).has_value());
   ASSERT_TRUE(write_bloom_sidecar(copy, compute_blooms(reader)).has_value());
-  EXPECT_TRUE(read_file(max_tf_sidecar_path(copy)) == reference[".maxtf"]);
   EXPECT_TRUE(read_file(block_index_sidecar_path(copy)) == reference[".bmx"]);
   EXPECT_TRUE(read_file(bloom_sidecar_path(copy)) == reference[".blm"]);
 }
