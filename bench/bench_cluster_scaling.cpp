@@ -28,6 +28,7 @@ struct Row {
   double ingest_docs_per_s = 0;
   double qps = 0;
   double p50_us = 0, p99_us = 0;
+  std::size_t failed = 0;  ///< measured queries that errored or came back partial
 };
 
 double pct(std::vector<double>& v, double q) {
@@ -52,9 +53,9 @@ int main() {
   std::printf("corpus: %zu docs, %.1f MB compressed\n\n", docs.size(),
               static_cast<double>(coll.total_compressed()) / (1 << 20));
 
-  std::printf("%-10s %7s %14s %10s %12s %12s\n", "strategy", "shards",
-              "ingest dps", "qps", "p50 us", "p99 us");
-  row_sep(72);
+  std::printf("%-10s %7s %14s %10s %12s %12s %7s\n", "strategy", "shards",
+              "ingest dps", "qps", "p50 us", "p99 us", "failed");
+  row_sep(80);
 
   std::vector<Row> rows;
   bool ok = true;
@@ -97,10 +98,15 @@ int main() {
         queries.push_back(std::move(terms));
       }
 
+      // Pass 0 warms the caches and is not timed; QPS counts the measured
+      // passes' complete answers over their own time only. A degraded or
+      // partial answer is a failure, not a fast success.
       const auto router = cluster.make_router();
       std::vector<double> lat;
-      const WallTimer serve_timer;
+      std::size_t failed = 0;
+      double serve_s = 0;
       for (int pass = 0; pass < 4; ++pass) {
+        const WallTimer pass_timer;
         for (const auto& terms : queries) {
           QueryRequest request;
           request.query = Query::bag(terms);
@@ -108,10 +114,17 @@ int main() {
           request.use_result_cache = false;
           const WallTimer t;
           const auto response = router->search(request);
-          if (response.has_value() && pass > 0) lat.push_back(t.seconds());
+          const double took = t.seconds();
+          if (pass == 0) continue;
+          if (response.has_value() && !response.value().degraded() &&
+              response.value().shards_answered == response.value().shards_total) {
+            lat.push_back(took);
+          } else {
+            ++failed;
+          }
         }
+        if (pass > 0) serve_s += pass_timer.seconds();
       }
-      const double serve_s = serve_timer.seconds();
 
       Row row;
       row.strategy = strategy;
@@ -120,12 +133,14 @@ int main() {
       row.qps = static_cast<double>(lat.size()) / std::max(serve_s, 1e-9);
       row.p50_us = pct(lat, 0.50);
       row.p99_us = pct(lat, 0.99);
-      std::printf("%-10s %7u %14.0f %10.0f %12.1f %12.1f\n",
+      row.failed = failed;
+      std::printf("%-10s %7u %14.0f %10.0f %12.1f %12.1f %7zu\n",
                   partition_strategy_name(strategy), shards, row.ingest_docs_per_s,
-                  row.qps, row.p50_us, row.p99_us);
-      if (lat.empty() || row.qps <= 0) {
-        std::printf("FAIL: no successful queries (%s, %u shards)\n",
-                    partition_strategy_name(strategy), shards);
+                  row.qps, row.p50_us, row.p99_us, row.failed);
+      if (lat.empty() || row.qps <= 0 || failed > 0) {
+        std::printf("FAIL: %zu of %zu measured queries failed or came back partial "
+                    "(%s, %u shards)\n",
+                    failed, failed + lat.size(), partition_strategy_name(strategy), shards);
         ok = false;
       }
       rows.push_back(row);
@@ -142,7 +157,8 @@ int main() {
             ", \"ingest_docs_per_s\": " + obs::json_number(r.ingest_docs_per_s) +
             ", \"qps\": " + obs::json_number(r.qps) +
             ", \"p50_us\": " + obs::json_number(r.p50_us) +
-            ", \"p99_us\": " + obs::json_number(r.p99_us) + "}";
+            ", \"p99_us\": " + obs::json_number(r.p99_us) +
+            ", \"failed\": " + std::to_string(r.failed) + "}";
     json += (i + 1 < rows.size()) ? ",\n" : "\n";
   }
   json += "  ]\n}\n";

@@ -5,7 +5,8 @@
 #     search/cluster tests (metric emission from parser threads, shared
 #     SegmentReader lookups, snapshot readers racing live flushes,
 #     deletes and compaction, the SearchService pool racing the live
-#     writer, and the ShardRouter fan-out racing shard writers)
+#     writer, and concurrent router queries — each fanning out over the
+#     shards on its own calling thread — racing shard writers)
 #   - ASan+UBSan on the binary-format and serving tests (run files,
 #     segments, query path, MaxScore executor and caches), on test_util
 #     (the slicing-by-8 CRC32 does word loads) and on test_robustness
@@ -110,8 +111,10 @@ if [[ "$run_bench" == 1 ]]; then
   # Smoke benches on the plain tree built above. Each fails (exit 1) on a
   # degenerate measurement and leaves its JSON in the repo root for trend
   # tooling: block-max pruning must actually skip blocks, the mixed-class
-  # query workload must answer queries in every class, and live ingest
-  # must sustain nonzero docs/s with and without memtable search load.
+  # query workload must answer queries in every class, live ingest must
+  # sustain nonzero docs/s with and without memtable search load, and
+  # every measured cluster query must come back complete (no error, no
+  # partial or degraded answer).
   HETINDEX_BENCH_JSON="$PWD/BENCH_pruning.json" ./build/bench/bench_block_pruning
   echo "bench leg: wrote BENCH_pruning.json"
   HETINDEX_BENCH_JSON="$PWD/BENCH_search.json" ./build/bench/bench_search_qps

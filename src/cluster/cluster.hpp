@@ -34,7 +34,7 @@ struct ClusterOptions {
   std::uint32_t replicas = 1;     ///< serving replicas per shard
   std::uint32_t block_docs = 128; ///< kBlock granularity (ignored otherwise)
   IndexWriterOptions writer;      ///< applied to every shard's writer
-  ShardServingOptions serving;    ///< applied to every replica
+  SearcherOptions serving;        ///< applied to every replica
 };
 
 class Cluster {

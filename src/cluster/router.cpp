@@ -1,7 +1,6 @@
 #include "cluster/router.hpp"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 #include <utility>
 
@@ -198,8 +197,7 @@ std::vector<std::size_t> ShardRouter::replica_order(std::uint32_t shard) const {
   return healthy;
 }
 
-void ShardRouter::record_failure(std::uint32_t shard, std::size_t replica,
-                                 FailureKind) const {
+void ShardRouter::record_failure(std::uint32_t shard, std::size_t replica) const {
   const auto now = Clock::now();
   std::lock_guard lock(health_mu_);
   auto& h = health_[shard][replica];
@@ -229,57 +227,36 @@ ShardRouter::FailureKind ShardRouter::classify(const Error& error) {
   }
 }
 
-ShardRouter::FailureKind ShardRouter::classify_and_count(const Error& error) const {
-  const FailureKind kind = classify(error);
-  switch (kind) {
+void ShardRouter::count_failure(const Error& error) const {
+  switch (classify(error)) {
     case FailureKind::kShed: ins_->shard_sheds.add(); break;
     case FailureKind::kTimeout: ins_->shard_timeouts.add(); break;
     case FailureKind::kDown: ins_->shard_down.add(); break;
   }
-  return kind;
 }
 
-Expected<ShardStatsProbe> ShardRouter::probe_with_failover(
-    std::uint32_t shard, const std::vector<std::string>& terms,
-    const Deadline deadline) const {
+template <typename Call>
+auto ShardRouter::with_failover(std::uint32_t shard, const Deadline deadline,
+                                const Call& call) const {
   const auto order = replica_order(shard);
-  Error last{ErrorCode::kUnavailable, "no replica tried"};
+  decltype(call(shards_[shard]->replica(0))) result =
+      Error{ErrorCode::kUnavailable, "no replica tried"};
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (past(deadline)) {
       ins_->shard_timeouts.add();
-      return Error{ErrorCode::kDeadlineExceeded, "stats budget exhausted"};
+      result = Error{ErrorCode::kDeadlineExceeded, "budget slice spent before this shard's turn"};
+      break;
     }
     if (i > 0) ins_->failovers.add();
-    auto probe = shards_[shard]->replica(order[i]).probe_stats(terms);
-    if (probe) {
+    result = call(shards_[shard]->replica(order[i]));
+    if (result) {
       record_success(shard, order[i]);
-      return probe;
+      break;
     }
-    last = probe.error();
-    record_failure(shard, order[i], classify_and_count(last));
+    count_failure(result.error());
+    record_failure(shard, order[i]);
   }
-  return last;
-}
-
-Expected<std::shared_ptr<const QueryPostings>> ShardRouter::fetch_with_failover(
-    std::uint32_t shard, const std::string& term, const Deadline deadline) const {
-  const auto order = replica_order(shard);
-  Error last{ErrorCode::kUnavailable, "no replica tried"};
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (past(deadline)) {
-      ins_->shard_timeouts.add();
-      return Error{ErrorCode::kDeadlineExceeded, "fetch budget exhausted"};
-    }
-    if (i > 0) ins_->failovers.add();
-    auto postings = shards_[shard]->replica(order[i]).fetch_postings(term);
-    if (postings) {
-      record_success(shard, order[i]);
-      return postings;
-    }
-    last = postings.error();
-    record_failure(shard, order[i], classify_and_count(last));
-  }
-  return last;
+  return result;
 }
 
 Expected<QueryResponse> ShardRouter::search(const QueryRequest& request,
@@ -325,7 +302,9 @@ Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
     std::uint64_t token_sum = 0;
     std::uint64_t live_docs = 0;
     for (std::uint32_t s = 0; s < shard_count; ++s) {
-      auto probe = probe_with_failover(s, terms, stats_deadline);
+      auto probe = with_failover(s, stats_deadline, [&terms](const ShardReplica& r) {
+        return r.probe_stats(terms);
+      });
       if (!probe) {
         eligible[s] = false;
         state[s].failure = classify(probe.error());
@@ -345,66 +324,27 @@ Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
   }
   ins_->stats_micros.add(stats_timer.seconds() * 1e6);
 
-  // Phase 2: fan out. Every eligible shard's first-choice replica gets the
-  // sub-request concurrently (each replica runs its own admission pool);
-  // failover retries are sequential per shard, bounded by the same slice.
-  // Sub-requests carry the resolved AST: each shard executes the full tree
-  // (phrase/NEAR verification included) over its own documents — doc/block
-  // partitions hold every doc's postings and positions whole.
+  // Phase 2: fan out on this thread, shard after shard, every shard's
+  // replicas in health order within the one exec slice. Sub-requests carry
+  // the resolved AST: each shard executes the full tree (phrase/NEAR
+  // verification included) over its own documents — doc/block partitions
+  // hold every doc's postings and positions whole.
   const Deadline exec_deadline = carve(deadline, options_.shard_budget_fraction);
   QueryRequest sub = request;
   sub.timeout = std::chrono::microseconds{0};  // the absolute deadline rules
   sub.use_result_cache = false;  // scatter stats are not in the cache key
   sub.scatter = scatter;
-
-  struct Pending {
-    std::future<Expected<QueryResponse>> future;
-    std::vector<std::size_t> order;
-    std::size_t tried = 0;  // order[tried - 1] is in flight
-  };
-  std::vector<std::optional<Pending>> pending(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     if (!eligible[s]) continue;
-    Pending p;
-    p.order = replica_order(s);
-    p.future = shards_[s]->replica(p.order[0]).submit(sub, exec_deadline);
-    p.tried = 1;
-    pending[s] = std::move(p);
-  }
-
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    if (!pending[s]) continue;
-    auto& p = *pending[s];
-    for (;;) {
-      const std::size_t replica = p.order[p.tried - 1];
-      if (exec_deadline &&
-          p.future.wait_until(*exec_deadline) != std::future_status::ready) {
-        // The shard's budget slice is gone — no in-query retry is useful;
-        // the recorded failure demotes toward the peer for the next query.
-        // The abandoned future is promise-backed: dropping it never blocks.
-        ins_->shard_timeouts.add();
-        record_failure(s, replica, FailureKind::kTimeout);
-        state[s].failure = FailureKind::kTimeout;
-        break;
-      }
-      auto result = p.future.get();
-      if (result) {
-        record_success(s, replica);
-        state[s].answered = true;
-        state[s].response = std::move(*result);
-        break;
-      }
-      const FailureKind kind = classify_and_count(result.error());
-      record_failure(s, replica, kind);
-      state[s].failure = kind;
-      if (p.tried < p.order.size() && !past(exec_deadline)) {
-        ins_->failovers.add();
-        p.future = shards_[s]->replica(p.order[p.tried]).submit(sub, exec_deadline);
-        ++p.tried;
-        continue;
-      }
-      break;
+    auto result = with_failover(s, exec_deadline, [&](const ShardReplica& r) {
+      return r.run(sub, exec_deadline);
+    });
+    if (!result) {
+      state[s].failure = classify(result.error());
+      continue;
     }
+    state[s].answered = true;
+    state[s].response = std::move(*result);
   }
 
   // Gather: translate shard-local ids through the partitioner's closed
@@ -477,7 +417,9 @@ Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& requ
     const auto owner = partitioner_->term_shard(term);
     HET_CHECK_MSG(owner.has_value(), "term partitioner must own every term");
     owner_consulted[*owner] = true;
-    auto postings = fetch_with_failover(*owner, term, exec_deadline);
+    auto postings = with_failover(*owner, exec_deadline, [&term](const ShardReplica& r) {
+      return r.fetch_postings(term);
+    });
     if (!postings) {
       if (postings.error().code == ErrorCode::kOverloaded) {
         any_shed_failure = true;

@@ -35,20 +35,27 @@
 /// verifies phrase/NEAR locally over the fanned-out AST and the merged
 /// (score desc, global id asc) order equals the union index's.
 ///
+/// The fan-out runs on the calling thread, one shard after another:
+/// concurrency comes from concurrent callers (clients, or a SearchService
+/// in front of the router), never from per-query hand-offs — a shard's
+/// search costs microseconds, and waking another thread for it cost more
+/// than the search itself.
+///
 /// Deadlines are budgeted: the stats phase gets stats_budget_fraction of
 /// the remaining budget, the execute fan-out shard_budget_fraction of what
-/// is left (the remainder is the merge reserve). A shard that misses its
-/// slice is dropped and the response degrades to a partial
-/// (kShardPartial / kShedPartial, with shards_answered < shards_total)
-/// instead of blowing the caller's deadline.
+/// is left (the remainder is the merge reserve). The shards share their
+/// phase's slice; a shard whose turn comes after the slice is gone is
+/// dropped (counted as a shard timeout, charged to no replica — it never
+/// ran) and the response degrades to a partial (kShardPartial /
+/// kShedPartial, with shards_answered < shards_total) instead of blowing
+/// the caller's deadline.
 ///
 /// Failover: replicas are tried in health order. A replica that fails
 /// `demote_after_failures` times within `failure_window` is demoted for
 /// `demotion_backoff` — the router prefers its peers until the backoff
 /// lapses (a fully-demoted shard is still probed, so recovery needs no
 /// side channel). Down/shed replicas fail fast and the router retries the
-/// peer within the same query; a timed-out replica already consumed the
-/// shard's budget, so its demotion redirects the next query instead.
+/// peer within the same query, while the slice lasts.
 
 #include <chrono>
 #include <cstdint>
@@ -133,20 +140,22 @@ class ShardRouter final : public SearchBackend {
   /// index), then demoted (earliest-recovering first) so a fully-demoted
   /// shard still gets probed.
   [[nodiscard]] std::vector<std::size_t> replica_order(std::uint32_t shard) const;
-  void record_failure(std::uint32_t shard, std::size_t replica, FailureKind kind) const;
+  void record_failure(std::uint32_t shard, std::size_t replica) const;
   void record_success(std::uint32_t shard, std::size_t replica) const;
 
-  [[nodiscard]] Expected<ShardStatsProbe> probe_with_failover(
-      std::uint32_t shard, const std::vector<std::string>& terms,
-      std::optional<std::chrono::steady_clock::time_point> deadline) const;
-  [[nodiscard]] Expected<std::shared_ptr<const QueryPostings>> fetch_with_failover(
-      std::uint32_t shard, const std::string& term,
-      std::optional<std::chrono::steady_clock::time_point> deadline) const;
+  /// Calls `call(replica)` on `shard`'s replicas in health order until one
+  /// answers, recording each failure against its replica. Stops with
+  /// kDeadlineExceeded — a shard timeout charged to no replica — when a
+  /// replica's turn comes after `deadline`.
+  template <typename Call>
+  auto with_failover(std::uint32_t shard,
+                     std::optional<std::chrono::steady_clock::time_point> deadline,
+                     const Call& call) const;
 
-  /// Failure taxonomy by error code; classify_and_count also bumps the
-  /// per-kind cluster_* counter (one bump per failed replica call).
+  /// Failure taxonomy by error code; count_failure bumps the per-kind
+  /// cluster_* counter (one bump per failed replica call).
   [[nodiscard]] static FailureKind classify(const Error& error);
-  FailureKind classify_and_count(const Error& error) const;
+  void count_failure(const Error& error) const;
 
   std::vector<std::shared_ptr<Shard>> shards_;
   std::shared_ptr<const Partitioner> partitioner_;

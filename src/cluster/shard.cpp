@@ -8,14 +8,12 @@
 namespace hetindex {
 
 ShardReplica::ShardReplica(std::shared_ptr<IndexWriter> writer,
-                           ShardServingOptions options)
+                           const SearcherOptions& options)
     : writer_(std::move(writer)) {
   HET_CHECK_MSG(writer_ != nullptr, "ShardReplica requires a writer");
   searcher_ = Searcher::open(
-                  SearchSource::live([w = writer_] { return w->snapshot(); }),
-                  options.searcher)
+                  SearchSource::live([w = writer_] { return w->snapshot(); }), options)
                   .value();
-  service_ = std::make_unique<SearchService>(searcher_, options.service);
 }
 
 std::optional<Error> ShardReplica::fault() const {
@@ -28,22 +26,19 @@ std::optional<Error> ShardReplica::fault() const {
   return std::nullopt;
 }
 
-Expected<QueryResponse> ShardReplica::search(
+Expected<QueryResponse> ShardReplica::run(
     const QueryRequest& request,
     std::optional<std::chrono::steady_clock::time_point> deadline) const {
   if (auto f = fault()) return *f;
-  return service_->search(request, deadline);
+  return searcher_->search(request, deadline);
 }
 
 std::future<Expected<QueryResponse>> ShardReplica::submit(
     QueryRequest request,
     std::optional<std::chrono::steady_clock::time_point> deadline) const {
-  if (auto f = fault()) {
-    std::promise<Expected<QueryResponse>> failed;
-    failed.set_value(std::move(*f));
-    return failed.get_future();
-  }
-  return service_->submit(std::move(request), deadline);
+  std::promise<Expected<QueryResponse>> resolved;
+  resolved.set_value(run(request, deadline));
+  return resolved.get_future();
 }
 
 Expected<ShardStatsProbe> ShardReplica::probe_stats(
@@ -75,7 +70,7 @@ Expected<std::shared_ptr<const QueryPostings>> ShardReplica::fetch_postings(
 }
 
 Shard::Shard(std::shared_ptr<IndexWriter> writer, std::uint32_t replicas,
-             const ShardServingOptions& options)
+             const SearcherOptions& options)
     : writer_(std::move(writer)) {
   HET_CHECK_MSG(writer_ != nullptr, "Shard requires a writer");
   HET_CHECK_MSG(replicas > 0, "a shard needs at least one replica");

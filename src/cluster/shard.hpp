@@ -2,18 +2,18 @@
 /// \file shard.hpp
 /// One shard of the serving cluster: the shard's IndexWriter (its slice of
 /// the corpus, a normal live directory) plus R ShardReplicas — independent
-/// serving stacks (Searcher caches + SearchService admission pool) over
-/// the shard's data. In this in-process cluster the replicas share the
-/// writer's committed state the way real replicas share a replicated log;
-/// what is replicated is the *serving* capacity and failure domain: each
-/// replica has its own queue to saturate, its own caches to warm, and its
-/// own fault switches (set_down / force_shed) for the router's failover
-/// machinery to react to.
+/// Searchers (own caches) over the shard's data. In this in-process cluster
+/// the replicas share the writer's committed state the way real replicas
+/// share a replicated log; what is replicated is the failure domain: each
+/// replica has its own caches to warm and its own fault switches
+/// (set_down / force_shed) for the router's failover machinery to react
+/// to. Replicas own no threads and no admission queue: a replica call runs
+/// on the caller's thread, and admission belongs to whatever pool sits in
+/// front of the router (the CLI's `serve` puts a SearchService there).
 ///
-/// A ShardReplica is a SearchBackend like everything else; the router
-/// talks to it through three verbs:
-///   submit()        a ranked/boolean sub-request with a budget slice
-///   probe_stats()   the exact-integer stats ingredients of ScatterStats
+/// The router talks to a replica through three verbs:
+///   run()            a ranked/boolean sub-request with a budget slice
+///   probe_stats()    the exact-integer stats ingredients of ScatterStats
 ///   fetch_postings() raw term postings (term-partitioned central scoring)
 
 #include <atomic>
@@ -26,17 +26,9 @@
 #include <vector>
 
 #include "live/writer.hpp"
-#include "search/backend.hpp"
 #include "search/searcher.hpp"
-#include "search/service.hpp"
 
 namespace hetindex {
-
-/// Serving knobs of every replica in a shard.
-struct ShardServingOptions {
-  SearcherOptions searcher;
-  SearchServiceOptions service{/*threads=*/2, /*queue_capacity=*/64};
-};
 
 /// Exact-integer collection stats of one shard, the router's ScatterStats
 /// ingredients (summed across shards before any division — see
@@ -48,18 +40,19 @@ struct ShardStatsProbe {
   std::vector<std::uint64_t> term_dfs;  ///< raw df per probed term
 };
 
-class ShardReplica final : public SearchBackend {
+class ShardReplica {
  public:
-  ShardReplica(std::shared_ptr<IndexWriter> writer, ShardServingOptions options);
+  ShardReplica(std::shared_ptr<IndexWriter> writer, const SearcherOptions& options);
 
-  using SearchBackend::search;
-  [[nodiscard]] Expected<QueryResponse> search(
+  /// Runs a sub-request on the calling thread: kUnavailable/kOverloaded
+  /// when a fault switch is on, otherwise the Searcher's answer (which is
+  /// kDeadlineExceeded when `deadline` has already passed).
+  [[nodiscard]] Expected<QueryResponse> run(
       const QueryRequest& request,
-      std::optional<std::chrono::steady_clock::time_point> deadline) const override;
+      std::optional<std::chrono::steady_clock::time_point> deadline) const;
 
-  /// Asynchronous entry the router fans out through. Resolves immediately
-  /// with kUnavailable/kOverloaded when a fault switch is on; otherwise
-  /// enqueues into this replica's admission pool.
+  /// run() handed back as an already-resolved future, for callers written
+  /// against a future-returning replica.
   [[nodiscard]] std::future<Expected<QueryResponse>> submit(
       QueryRequest request,
       std::optional<std::chrono::steady_clock::time_point> deadline) const;
@@ -89,17 +82,14 @@ class ShardReplica final : public SearchBackend {
   void force_shed(bool shed) { shed_.store(shed, std::memory_order_relaxed); }
   [[nodiscard]] bool is_down() const { return down_.load(std::memory_order_relaxed); }
 
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const override {
-    return searcher_->metrics();
-  }
-  [[nodiscard]] obs::MetricsRegistry& metrics() override { return searcher_->metrics(); }
+  /// The replica Searcher's search_* instruments.
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const { return searcher_->metrics(); }
 
  private:
   [[nodiscard]] std::optional<Error> fault() const;
 
   std::shared_ptr<IndexWriter> writer_;
   std::shared_ptr<Searcher> searcher_;
-  std::unique_ptr<SearchService> service_;
   std::atomic<bool> down_{false};
   std::atomic<bool> shed_{false};
 };
@@ -108,7 +98,7 @@ class ShardReplica final : public SearchBackend {
 class Shard {
  public:
   Shard(std::shared_ptr<IndexWriter> writer, std::uint32_t replicas,
-        const ShardServingOptions& options);
+        const SearcherOptions& options);
 
   [[nodiscard]] IndexWriter& writer() { return *writer_; }
   [[nodiscard]] const IndexWriter& writer() const { return *writer_; }

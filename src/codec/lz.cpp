@@ -53,13 +53,15 @@ void put_length_ext(std::vector<std::uint8_t>& out, std::size_t extra) {
   out.push_back(static_cast<std::uint8_t>(extra));
 }
 
-std::size_t get_length_ext(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  std::size_t extra = 0;
+/// Reads an LZ4-style length extension into `extra`; false on overrun.
+bool get_length_ext(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+                    std::size_t& extra) {
+  extra = 0;
   while (true) {
-    HET_CHECK_MSG(pos < size, "lz length extension overrun");
+    if (pos >= size) return false;
     const std::uint8_t b = data[pos++];
     extra += b;
-    if (b != 255) return extra;
+    if (b != 255) return true;
   }
 }
 
@@ -114,35 +116,59 @@ std::vector<std::uint8_t> compress_block(const std::uint8_t* src, std::size_t n)
   return out;
 }
 
-void decompress_block(const std::uint8_t* data, std::size_t size, std::uint8_t* dst,
-                      std::size_t raw_len) {
+/// Decodes one compressed block into dst[0, raw_len); returns what is
+/// wrong with it, or nullptr when it decoded exactly.
+const char* decompress_block(const std::uint8_t* data, std::size_t size, std::uint8_t* dst,
+                             std::size_t raw_len) {
   std::size_t pos = 0;
   std::size_t out = 0;
   while (true) {
-    HET_CHECK_MSG(pos < size, "lz block truncated");
+    if (pos >= size) return "lz block truncated";
     const std::uint8_t token = data[pos++];
     std::size_t lit_len = token >> 4;
-    if (lit_len == 15) lit_len += get_length_ext(data, size, pos);
-    HET_CHECK_MSG(pos + lit_len <= size && out + lit_len <= raw_len, "lz literal overrun");
-    std::memcpy(dst + out, data + pos, lit_len);
+    std::size_t extra = 0;
+    if (lit_len == 15) {
+      if (!get_length_ext(data, size, pos, extra)) return "lz length extension overrun";
+      lit_len += extra;
+    }
+    if (lit_len > size - pos || lit_len > raw_len - out) return "lz literal overrun";
+    if (lit_len != 0) std::memcpy(dst + out, data + pos, lit_len);
     pos += lit_len;
     out += lit_len;
-    HET_CHECK_MSG(pos + 2 <= size, "lz offset truncated");
+    if (size - pos < 2) return "lz offset truncated";
     const std::size_t offset = data[pos] | (static_cast<std::size_t>(data[pos + 1]) << 8);
     pos += 2;
-    if (offset == 0) {
-      HET_CHECK_MSG(out == raw_len, "lz block raw length mismatch");
-      return;
-    }
+    if (offset == 0) return out == raw_len ? nullptr : "lz block raw length mismatch";
     std::size_t match_len = (token & 0x0F);
-    if (match_len == 15) match_len += get_length_ext(data, size, pos);
+    if (match_len == 15) {
+      if (!get_length_ext(data, size, pos, extra)) return "lz length extension overrun";
+      match_len += extra;
+    }
     match_len += kMinMatch;
-    HET_CHECK_MSG(offset <= out && out + match_len <= raw_len, "lz match overrun");
+    if (offset > out || match_len > raw_len - out) return "lz match overrun";
     // Byte-by-byte copy: matches may overlap their own output (RLE case).
     const std::uint8_t* from = dst + out - offset;
     for (std::size_t i = 0; i < match_len; ++i) dst[out + i] = from[i];
     out += match_len;
   }
+}
+
+/// Decodes one block (stored or compressed) of `raw_len` bytes starting at
+/// `payload` into `dst` and verifies its CRC; returns what is wrong, or
+/// nullptr. `avail` is the frame's bytes from `payload` on.
+const char* decode_block(const std::uint8_t* payload, std::size_t avail,
+                         std::uint32_t raw_len, std::uint32_t comp_len, std::uint32_t crc,
+                         std::uint8_t* dst) {
+  if (comp_len == 0) {
+    if (raw_len > avail) return "lz stored block truncated";
+    // raw_len can be 0 for an empty payload; dst is null then and
+    // memcpy(null, ..., 0) is still UB.
+    if (raw_len != 0) std::memcpy(dst, payload, raw_len);
+  } else {
+    if (comp_len > avail) return "lz compressed block truncated";
+    if (const char* bad = decompress_block(payload, comp_len, dst, raw_len)) return bad;
+  }
+  return crc32(dst, raw_len) == crc ? nullptr : "lz block crc mismatch";
 }
 
 }  // namespace
@@ -177,34 +203,37 @@ std::uint64_t lz_raw_size(const std::uint8_t* input, std::size_t size) {
   return get_u64(input + 4);
 }
 
-std::vector<std::uint8_t> lz_decompress(const std::uint8_t* input, std::size_t size) {
-  const std::uint64_t raw_size = lz_raw_size(input, size);
+Expected<std::vector<std::uint8_t>> try_lz_decompress(const std::uint8_t* input,
+                                                      std::size_t size) {
+  const auto corrupt = [](const char* what) { return Error{ErrorCode::kCorrupt, what}; };
+  if (size < 12 || get_u32(input) != kMagic) return corrupt("bad lz frame header");
+  const std::uint64_t raw_size = get_u64(input + 4);
+  // A token expands to at most ~255 raw bytes per input byte (stored
+  // blocks 1:1), so a larger claim is corrupt — and never allocated.
+  if (raw_size / 256 > size) return corrupt("lz frame raw size exceeds its payload");
   std::vector<std::uint8_t> out(raw_size);
   std::size_t pos = 12;
   std::size_t produced = 0;
   while (produced < raw_size || (raw_size == 0 && pos < size)) {
-    HET_CHECK_MSG(pos + 12 <= size, "lz frame truncated");
+    if (size - pos < 12) return corrupt("lz frame truncated");
     const std::uint32_t raw_len = get_u32(input + pos);
     const std::uint32_t comp_len = get_u32(input + pos + 4);
     const std::uint32_t crc = get_u32(input + pos + 8);
     pos += 12;
-    HET_CHECK_MSG(produced + raw_len <= raw_size, "lz frame raw size mismatch");
-    if (comp_len == 0) {
-      HET_CHECK_MSG(pos + raw_len <= size, "lz stored block truncated");
-      // raw_len can be 0 for an empty payload; out.data() is null then and
-      // memcpy(null, ..., 0) is still UB.
-      if (raw_len != 0) std::memcpy(out.data() + produced, input + pos, raw_len);
-      pos += raw_len;
-    } else {
-      HET_CHECK_MSG(pos + comp_len <= size, "lz compressed block truncated");
-      decompress_block(input + pos, comp_len, out.data() + produced, raw_len);
-      pos += comp_len;
+    if (raw_len > raw_size - produced) return corrupt("lz frame raw size mismatch");
+    if (const char* bad = decode_block(input + pos, size - pos, raw_len, comp_len, crc,
+                                       out.data() + produced)) {
+      return corrupt(bad);
     }
-    HET_CHECK_MSG(crc32(out.data() + produced, raw_len) == crc, "lz block crc mismatch");
+    pos += comp_len == 0 ? raw_len : comp_len;
     produced += raw_len;
     if (raw_size == 0) break;
   }
   return out;
+}
+
+std::vector<std::uint8_t> lz_decompress(const std::uint8_t* input, std::size_t size) {
+  return try_lz_decompress(input, size).value();
 }
 
 std::vector<std::uint8_t> lz_decompress(const std::vector<std::uint8_t>& input) {
@@ -225,16 +254,10 @@ std::vector<std::uint8_t> lz_decompress_prefix(const std::uint8_t* input, std::s
     pos += 12;
     const std::size_t at = out.size();
     out.resize(at + raw_len);
-    if (comp_len == 0) {
-      HET_CHECK_MSG(pos + raw_len <= size, "lz stored block truncated");
-      std::memcpy(out.data() + at, input + pos, raw_len);
-      pos += raw_len;
-    } else {
-      HET_CHECK_MSG(pos + comp_len <= size, "lz compressed block truncated");
-      decompress_block(input + pos, comp_len, out.data() + at, raw_len);
-      pos += comp_len;
-    }
-    HET_CHECK_MSG(crc32(out.data() + at, raw_len) == crc, "lz block crc mismatch");
+    const char* bad =
+        decode_block(input + pos, size - pos, raw_len, comp_len, crc, out.data() + at);
+    HET_CHECK_MSG(bad == nullptr, bad);
+    pos += comp_len == 0 ? raw_len : comp_len;
   }
   return out;
 }

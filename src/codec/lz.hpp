@@ -14,14 +14,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace hetindex {
 
 /// Compresses `input` into a self-describing frame.
 std::vector<std::uint8_t> lz_compress(const std::uint8_t* input, std::size_t size);
 std::vector<std::uint8_t> lz_compress(const std::vector<std::uint8_t>& input);
 
-/// Decompresses a frame produced by lz_compress; hard-fails on corruption
-/// (magic/CRC/bounds mismatch).
+/// Decompresses a frame produced by lz_compress; kCorrupt on any
+/// magic/CRC/bounds mismatch, whatever the bytes.
+Expected<std::vector<std::uint8_t>> try_lz_decompress(const std::uint8_t* input,
+                                                      std::size_t size);
+
+/// try_lz_decompress for trusted frames: hard-fails on corruption.
 std::vector<std::uint8_t> lz_decompress(const std::uint8_t* input, std::size_t size);
 std::vector<std::uint8_t> lz_decompress(const std::vector<std::uint8_t>& input);
 

@@ -31,7 +31,11 @@ Expected<std::shared_ptr<LiveSegment>> LiveSegment::open(const std::string& dir,
   if (!served.has_value()) return served.error();
   std::string map_path = live_docmap_path(dir, segment_id);
   std::optional<DocMap> map;
-  if (file_exists(map_path)) map = DocMap::open(map_path);
+  if (file_exists(map_path)) {
+    auto opened = DocMap::try_open(map_path);
+    if (!opened) return opened.error();
+    map = std::move(opened).value();
+  }
   return std::shared_ptr<LiveSegment>(
       new LiveSegment(segment_id, doc_base, doc_count, std::move(served).value(),
                       std::move(map), std::move(seg_path), std::move(map_path)));

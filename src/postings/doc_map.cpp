@@ -87,39 +87,65 @@ Status DocMapBuilder::try_write(const std::string& path) const {
   return io::durable_write_file(path, out);
 }
 
-DocMap DocMap::open(const std::string& path) {
-  const auto file = read_file(path);
-  ByteReader header(file);
+Expected<DocMap> DocMap::try_open(const std::string& path) {
+  const auto corrupt = [&path](const std::string& what) {
+    return Error{ErrorCode::kCorrupt, what + ": " + path};
+  };
+  const auto file = io::env().read_file(path);
+  if (!file) return file.error();
+  ByteReader header(file.value());
+  if (header.remaining() < 8) return corrupt("doc map truncated");
   const std::uint32_t magic = header.u32();
-  HET_CHECK_MSG(magic == kDocMapMagic || magic == kDocMapMagicV2, "not a hetindex doc map");
+  if (magic != kDocMapMagic && magic != kDocMapMagicV2) return corrupt("not a hetindex doc map");
   const std::uint32_t total = header.u32();
   DocMap map;
-  std::size_t payload_off = 8;
   if (magic == kDocMapMagicV2) {
+    if (header.remaining() < 4) return corrupt("doc map truncated");
     map.base_ = header.u32();
-    payload_off = 12;
   }
-  const auto raw = lz_decompress(file.data() + payload_off, file.size() - payload_off);
-  ByteReader r(raw);
-  map.locations_.resize(total);
+  const auto raw = try_lz_decompress(file.value().data() + header.position(),
+                                     header.remaining());
+  if (!raw) return corrupt(raw.error().message);
+  ByteReader r(raw.value());
+  // Bound the counts by the payload before allocating: a span header takes
+  // 12 bytes, a record at least 8 (url length + token count).
+  if (r.remaining() < 4) return corrupt("doc map payload truncated");
   const std::uint32_t spans = r.u32();
+  if (spans > r.remaining() / 12 || total > r.remaining() / 8) {
+    return corrupt("doc map counts exceed its payload");
+  }
+  map.locations_.resize(total);
   map.spans_.reserve(spans);
+  std::uint32_t next = 0;  // local index the next span must start at
   for (std::uint32_t s = 0; s < spans; ++s) {
+    if (r.remaining() < 12) return corrupt("doc map span truncated");
     const std::uint32_t base = r.u32();  // global
     const std::uint32_t file_seq = r.u32();
     const std::uint32_t count = r.u32();
+    if (base - map.base_ != next || count > total - next) {
+      return corrupt("doc map spans do not tile its doc range");
+    }
     map.spans_.push_back({base, file_seq, count});
     for (std::uint32_t i = 0; i < count; ++i) {
-      HET_CHECK(base >= map.base_ && base - map.base_ + i < total);
-      auto& loc = map.locations_[base - map.base_ + i];
-      loc.url = r.str();
+      if (r.remaining() < 4) return corrupt("doc map record truncated");
+      const std::uint32_t url_len = r.u32();
+      if (r.remaining() < 4 || url_len > r.remaining() - 4) {
+        return corrupt("doc map record truncated");
+      }
+      auto& loc = map.locations_[next + i];
+      loc.url.resize(url_len);
+      r.bytes(loc.url.data(), url_len);
       loc.token_count = r.u32();
       loc.file_seq = file_seq;
       loc.local_id = i;
     }
+    next += count;
   }
+  if (next != total || r.remaining() != 0) return corrupt("doc map record count mismatch");
   return map;
 }
+
+DocMap DocMap::open(const std::string& path) { return try_open(path).value(); }
 
 double DocMap::average_doc_tokens() const {
   if (locations_.empty()) return 0.0;

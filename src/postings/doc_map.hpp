@@ -80,6 +80,11 @@ class DocMapBuilder {
 /// Read-side map over global ids [base, base+doc_count).
 class DocMap {
  public:
+  /// Reads a map written by DocMapBuilder: kCorrupt on any bytes that are
+  /// not one (bad magic, bad LZ frame, counts or spans that do not fit the
+  /// payload), kNotFound/kIo from the filesystem.
+  static Expected<DocMap> try_open(const std::string& path);
+  /// try_open for trusted batch outputs: hard-fails on any error.
   static DocMap open(const std::string& path);
 
   /// First global doc id covered (0 for batch-built maps).

@@ -3,8 +3,8 @@
 /// SearchBackend — the one serving interface: QueryRequest in,
 /// Expected<QueryResponse> out. Everything that can answer a query
 /// implements it — a Searcher over one corpus view, a SearchService pooling
-/// threads in front of any backend, a single ShardReplica, and the
-/// ShardRouter fanning out over a whole cluster — so callers (CLI verbs,
+/// threads in front of any backend, and the ShardRouter fanning out over a
+/// whole cluster — so callers (CLI verbs,
 /// benches, tests) compose local and clustered serving through one type:
 /// `SearchService(router)` is admission control in front of a cluster with
 /// the same five lines that serve a laptop index.

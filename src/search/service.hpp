@@ -1,19 +1,19 @@
 #pragma once
 /// \file service.hpp
 /// Thread-pooled concurrent query execution with admission control in
-/// front of any SearchBackend — one Searcher on a laptop, a ShardReplica
-/// inside a cluster, or a whole ShardRouter. Requests enter a bounded
-/// queue (reject-with-kOverloaded when saturated — callers learn about
-/// overload immediately instead of piling up latency), workers pop and
-/// execute, and a request's deadline starts at submit so time spent queued
-/// counts against it: a request that expires while waiting is rejected
-/// with kDeadlineExceeded without wasting executor time, and one that
-/// expires mid-execution comes back degraded (see Searcher).
+/// front of any SearchBackend — one Searcher on a laptop, or a whole
+/// ShardRouter. Requests enter a bounded queue (reject-with-kOverloaded
+/// when saturated — callers learn about overload immediately instead of
+/// piling up latency), workers pop and execute, and a request's deadline
+/// starts at submit so time spent queued counts against it: a request that
+/// expires while waiting is rejected with kDeadlineExceeded without wasting
+/// executor time, and one that expires mid-execution comes back degraded
+/// (see Searcher).
 ///
-/// The service is itself a SearchBackend (search() = submit + wait), so
-/// admission-controlled tiers stack: ShardRouter fans out to per-replica
-/// services, and the CLI `serve` verb runs one service over whichever
-/// backend the directory holds.
+/// The service is itself a SearchBackend (search() = submit + wait): the
+/// CLI `serve` verb runs one service over whichever backend the directory
+/// holds, a ShardRouter included (whose fan-out then runs on the service's
+/// worker threads).
 ///
 /// The service publishes its admission metrics into the backend's
 /// registry, so one snapshot tells the whole serving story: queue depth,

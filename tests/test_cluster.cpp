@@ -6,8 +6,9 @@
 // documents and full compaction. Plus the failure half of the contract:
 // replica failover behind an unchanged answer, whole-shard outages degrading
 // to well-formed kShardPartial responses, shedding classified kShedPartial
-// with demotion, reopen recovery of the global id sequence from shard
-// widths, and CLUSTER meta validation. The final test races router queries
+// with demotion, a spent fan-out slice demoting no replica that never ran,
+// replica calls resolving on the caller's thread, reopen recovery of the
+// global id sequence from shard widths, and CLUSTER meta validation. The final test races router queries
 // against live mutation (the TSan tier-1 leg runs this file).
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <optional>
 #include <random>
 #include <string>
@@ -494,6 +496,48 @@ TEST(ClusterFailover, SheddingClassifiesShedPartialAndDemotes) {
   const auto snapshot = router->metrics().snapshot();
   EXPECT_GE(snapshot.counter("cluster_shard_sheds_total"), 2u);
   EXPECT_GE(snapshot.counter("cluster_replica_demotions_total"), 1u);
+}
+
+TEST(ClusterFailover, ExhaustedFanOutBudgetDoesNotDemoteUnrunReplicas) {
+  auto stack = make_twins(PartitionStrategy::kDocument, 2, 2, 0xB0D6);
+  RouterOptions options;
+  options.shard_budget_fraction = 0.0;  // the fan-out slice is gone on arrival
+  const auto router = stack.cluster->make_router(options);
+
+  // A boolean query skips the stats phase, whose answered probes would
+  // clear the replicas' failure history before every fan-out.
+  QueryRequest request;
+  request.query = Query::conjunction(sample_queries(stack.vocab, 1, 71)[0]);
+  request.use_result_cache = false;
+  request.timeout = 500ms;
+  for (int i = 0; i < 3; ++i) {
+    const auto response = router->search(request);
+    ASSERT_FALSE(response.has_value());
+    EXPECT_EQ(response.error().code, ErrorCode::kUnavailable);
+  }
+  // Every shard's turn came after the slice: each one is a timeout, but no
+  // replica ran, so none is charged for it.
+  const auto snapshot = router->metrics().snapshot();
+  EXPECT_GE(snapshot.counter("cluster_shard_timeouts_total"), 3u);
+  EXPECT_EQ(snapshot.counter("cluster_replica_demotions_total"), 0u);
+}
+
+TEST(ClusterRouter, ReplicaSubmitResolvesOnTheCallingThread) {
+  auto stack = make_twins(PartitionStrategy::kDocument, 2, 1, 0x5B17);
+  const ShardReplica& replica = stack.cluster->shard(0).replica(0);
+  QueryRequest request;
+  request.query = Query::bag(sample_queries(stack.vocab, 1, 81)[0]);
+
+  auto answered = replica.submit(request, std::nullopt);
+  EXPECT_EQ(answered.wait_for(0s), std::future_status::ready);
+  EXPECT_TRUE(answered.get().has_value());
+
+  stack.cluster->shard(0).replica(0).force_shed(true);
+  auto shed = replica.submit(request, std::nullopt);
+  EXPECT_EQ(shed.wait_for(0s), std::future_status::ready);
+  const auto refused = shed.get();
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error().code, ErrorCode::kOverloaded);
 }
 
 TEST(ClusterRouter, RejectsCallerSuppliedScatterStats) {

@@ -1,5 +1,6 @@
 // Failure-injection and edge-case tests: corrupted on-disk artifacts must
-// die loudly (never silently return a wrong index), and degenerate inputs
+// die loudly or, on the live tier's Expected-returning open path, come back
+// as kCorrupt (never silently return a wrong index), and degenerate inputs
 // (empty docs, stop-word-only docs, unicode-heavy text, giant tokens) must
 // flow through the full pipeline correctly.
 
@@ -126,6 +127,37 @@ TEST_F(CorruptionFixture, IntactIndexStillOpens) {
   const auto index = InvertedIndex::open(index_dir_, {}).value();
   EXPECT_GT(index.term_count(), 0u);
   EXPECT_TRUE(index.lookup("alpha").has_value());
+}
+
+// A live segment's doc map is read on every open of the directory; damage
+// to it must come back as kCorrupt, not take the process down.
+TEST(LiveDocMapCorruption, DamagedSegmentDocMapReportsCorrupt) {
+  TempDir dir("livemap");
+  {
+    auto writer = IndexWriter::open(dir.path(), {}).value();
+    for (int i = 0; i < 20; ++i) {
+      writer.add_document("u://" + std::to_string(i), "alpha beta gamma " + std::to_string(i));
+    }
+    ASSERT_TRUE(writer.flush().has_value());
+  }
+  std::string map_path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    if (entry.path().extension() == ".docmap") map_path = entry.path().string();
+  }
+  ASSERT_FALSE(map_path.empty());
+  const auto intact = read_file(map_path);
+  ASSERT_GT(intact.size(), 24u);
+
+  for (const auto& damaged :
+       {std::vector<std::uint8_t>(12, 'X'),
+        std::vector<std::uint8_t>(intact.begin(), intact.begin() + intact.size() / 2)}) {
+    write_file(map_path, damaged);
+    const auto reopened = IndexWriter::open(dir.path(), {});
+    ASSERT_FALSE(reopened.has_value());
+    EXPECT_EQ(reopened.error().code, ErrorCode::kCorrupt) << reopened.error().to_string();
+  }
+  write_file(map_path, intact);
+  EXPECT_TRUE(IndexWriter::open(dir.path(), {}).has_value());
 }
 
 // ------------------------------------------------ degenerate documents
