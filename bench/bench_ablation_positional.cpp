@@ -82,11 +82,17 @@ int main() {
   std::printf("\nOverheads: time +%.1f%%, index size +%.0f%%\n", time_overhead * 100,
               size_overhead * 100);
 
-  // Demonstrate what the extra bytes buy: a phrase query.
+  // Demonstrate what the extra bytes buy: a phrase query (served from a
+  // segment folded after the size was measured).
+  (void)compact_index(bench_dir() + "/positional_out").value();
   const auto index = InvertedIndex::open(bench_dir() + "/positional_out", {}).value();
+  std::string first_term;
+  index.for_each_term([&](std::string_view t) {
+    if (first_term.empty()) first_term = t;
+  });
   std::size_t phrase_capable = 0;
-  if (!index.entries().empty()) {
-    const auto p = index.lookup_positional(index.entries()[0].term);
+  if (!first_term.empty()) {
+    const auto p = index.lookup_positional(first_term);
     phrase_capable = p && !p->positions.empty() ? 1 : 0;
   }
   std::filesystem::remove_all(bench_dir() + "/positional_out");

@@ -23,8 +23,8 @@
 /// query/search/serve dispatch on the directory flavor automatically: a
 /// CLUSTER meta file opens the sharded scatter-gather router
 /// (docs/CLUSTER.md), a MANIFEST opens the live snapshot, anything else the
-/// batch index (preferring the compacted segment when one exists) — all
-/// behind the same SearchBackend. Open and configuration problems are
+/// batch index's segment (a runs-only build is refused with a pointer to
+/// `compact`) — all behind the same SearchBackend. Open and configuration problems are
 /// reported as structured errors (util/error.hpp), never aborts.
 
 #include <algorithm>
@@ -262,6 +262,9 @@ int cmd_build(int argc, char** argv) {
   if (report.segment_bytes > 0) {
     std::printf("segment: %s written in %.2f s\n",
                 format_bytes(report.segment_bytes).c_str(), report.segment_seconds);
+  } else {
+    std::printf("run files only: `compact %s` folds them into a servable index.seg\n",
+                args.positionals()[1].c_str());
   }
   const std::string report_json_path = args.str("report-json");
   if (!report_json_path.empty()) {
@@ -512,7 +515,9 @@ Expected<OpenedBackend> open_backend(const std::string& dir) {
   if (!index.has_value()) return index.error();
   out.index = std::make_shared<InvertedIndex>(std::move(index).value());
   if (std::filesystem::exists(doc_map_path(dir))) {
-    out.docs = std::make_shared<DocMap>(DocMap::open(doc_map_path(dir)));
+    auto docs = DocMap::try_open(doc_map_path(dir));
+    if (!docs.has_value()) return docs.error();
+    out.docs = std::make_shared<DocMap>(std::move(docs).value());
     auto searcher = Searcher::open(SearchSource::batch(*out.index, *out.docs));
     if (!searcher.has_value()) return searcher.error();
     out.backend = std::move(searcher).value();
@@ -823,16 +828,10 @@ int cmd_stats(int argc, char** argv) {
   auto opened = InvertedIndex::open(dir, {});
   if (!opened.has_value()) return report_error(opened.error());
   const auto& index = opened.value();
-  if (index.segment_backed()) {
-    const auto* seg = index.segment();
-    std::printf("segment: %s (%s, %s mapped), %llu terms\n", seg->path().c_str(),
-                format_bytes(seg->file_bytes()).c_str(),
-                format_bytes(seg->mapped_bytes()).c_str(),
-                static_cast<unsigned long long>(seg->term_count()));
-  } else {
-    std::printf("terms: %llu, runs: %zu\n",
-                static_cast<unsigned long long>(index.term_count()), index.run_count());
-  }
+  const auto* seg = index.segment();
+  std::printf("segment: %s (%s, %s mapped), %llu terms\n", seg->path().c_str(),
+              format_bytes(seg->file_bytes()).c_str(), format_bytes(seg->mapped_bytes()).c_str(),
+              static_cast<unsigned long long>(seg->term_count()));
   // Top-10 longest postings lists.
   std::vector<std::pair<std::size_t, std::string>> top;
   index.for_each_term([&](std::string_view term) {

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   // 2. Build the inverted files. Defaults follow the paper's best single-
   //    node configuration; tune parsers/indexers to your machine.
   hetindex::IndexBuilder builder;
-  builder.parsers(2).cpu_indexers(2).gpus(2);
+  builder.parsers(2).cpu_indexers(2).gpus(2).emit_segment(true);  // + serving segment
   const auto report = builder.build(collection.paths(), work_dir + "/index");
   std::printf("indexed %llu tokens into %llu terms in %.2f s (%.1f MB/s)\n",
               static_cast<unsigned long long>(report.tokens),
@@ -46,10 +46,11 @@ int main(int argc, char** argv) {
   //    we query terms sampled from the dictionary itself, plus a stop word
   //    to show that those were removed at parse time.
   const auto index = hetindex::InvertedIndex::open(work_dir + "/index", {}).value();
+  std::vector<std::string> terms;
+  index.for_each_term([&](std::string_view t) { terms.emplace_back(t); });
   std::vector<std::string> queries;
-  for (std::size_t i = 0; i < index.entries().size() && queries.size() < 3;
-       i += index.entries().size() / 3) {
-    queries.push_back(index.entries()[i].term);
+  for (std::size_t i = 0; i < terms.size() && queries.size() < 3; i += terms.size() / 3) {
+    queries.push_back(terms[i]);
   }
   queries.emplace_back("the");  // stop word → never indexed
   for (const auto& raw : queries) {

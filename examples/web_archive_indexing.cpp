@@ -5,9 +5,10 @@
 ///   - ingesting raw HTML documents into container files,
 ///   - sizing the worker split (sampling report),
 ///   - building with the heterogeneous pipeline,
-///   - the per-run output layout and doc-ID-range narrowed queries
-///     (§III.F: fetch only the runs that overlap a crawl window),
-///   - merging partial postings into a monolithic file.
+///   - the per-run output layout, merged into a monolithic file and
+///     folded into the serving segment,
+///   - doc-ID-range narrowed queries (§III.F: a term whose postings miss
+///     a crawl window is never decoded).
 ///
 ///   ./web_archive_indexing [work_dir]
 
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
 
   // ---- Build.
   IndexBuilder builder;
-  builder.parsers(2).cpu_indexers(2).gpus(2).merge_output(true);
+  builder.parsers(2).cpu_indexers(2).gpus(2).merge_output(true).emit_segment(true);
   const auto report = builder.build(crawl.paths(), work_dir + "/index");
   std::printf("build: %llu docs, %llu terms, %zu runs, merge pass %.3f s\n",
               static_cast<unsigned long long>(report.documents),
@@ -56,16 +57,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.gpu_total().tokens));
 
   // ---- Query with doc-ID-range narrowing: a crawl window corresponds to
-  // a doc-id range; only overlapping run files are decoded.
+  // a doc-id range; a term whose postings miss the window is never decoded.
   const auto index = InvertedIndex::open(work_dir + "/index", {}).value();
   const auto term = normalize_term("contact");
   const std::uint32_t window_lo = 0;
   const std::uint32_t window_hi = report.documents / 4;
-  std::size_t runs_touched = 0;
-  const auto hits = index.lookup_range(term, window_lo, window_hi, &runs_touched);
-  std::printf("range query '%s' over docs [%u, %u]: %zu hits, touched %zu of %zu runs\n",
+  std::size_t blobs_touched = 0;
+  const auto hits = index.lookup_range(term, window_lo, window_hi, &blobs_touched);
+  std::printf("range query '%s' over docs [%u, %u]: %zu hits, %s its postings blob\n",
               term.c_str(), window_lo, window_hi, hits ? hits->doc_ids.size() : 0,
-              runs_touched, index.run_count());
+              blobs_touched != 0 ? "decoded" : "skipped");
 
   const auto full = index.lookup(term);
   std::printf("full query '%s': %zu hits across the whole crawl\n", term.c_str(),

@@ -8,7 +8,9 @@
 #     writer, and concurrent router queries — each fanning out over the
 #     shards on its own calling thread — racing shard writers)
 #   - ASan+UBSan on the binary-format and serving tests (run files,
-#     segments, query path, MaxScore executor and caches), on test_util
+#     segments, query path, MaxScore executor and caches, and the BM25,
+#     positional and property suites that serve through the mapped
+#     segment reader), on test_util
 #     (the slicing-by-8 CRC32 does word loads) and on test_robustness
 #     (corrupted on-disk artifacts) to catch overruns and UB in the
 #     decoders and the mmap reader. This tree is
@@ -83,8 +85,8 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DHETINDEX_SANITIZE=address -DHETINDEX_IO_URING=OFF \
         -DHETINDEX_BUILD_BENCH=OFF -DHETINDEX_BUILD_EXAMPLES=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$(nproc)" --target test_util test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults test_robustness
-  ctest --test-dir build-asan --output-on-failure -R '^(test_util|test_segment|test_postings|test_codec|test_query_ops|test_query_ast|test_live|test_search_service|test_block_max|test_cluster|test_ingest_faults|test_robustness)$'
+  cmake --build build-asan -j "$(nproc)" --target test_util test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults test_robustness test_search test_positional test_property
+  ctest --test-dir build-asan --output-on-failure -R '^(test_util|test_segment|test_postings|test_codec|test_query_ops|test_query_ast|test_live|test_search_service|test_block_max|test_cluster|test_ingest_faults|test_robustness|test_search|test_positional|test_property)$'
   leg_end "asan"
 fi
 

@@ -26,17 +26,31 @@ std::vector<std::uint8_t> front_code(const std::vector<std::string>& terms) {
   return out;
 }
 
-std::vector<std::string> front_decode(const std::vector<std::uint8_t>& block,
-                                      std::size_t count) {
+Expected<std::vector<std::string>> front_decode(const std::vector<std::uint8_t>& block,
+                                                std::size_t count) {
+  std::size_t pos = 0;
+  const auto next = [&](std::uint64_t& value) {
+    value = 0;
+    for (unsigned shift = 0; shift < 64 && pos < block.size(); shift += 7) {
+      const std::uint8_t byte = block[pos++];
+      value |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
+      if ((byte & 0x80u) == 0) return true;
+    }
+    return false;
+  };
+  // Every term takes at least its two length bytes.
+  if (count > block.size() / 2) {
+    return Error{ErrorCode::kCorrupt, "front coding term count exceeds its block"};
+  }
   std::vector<std::string> terms;
   terms.reserve(count);
-  std::size_t pos = 0;
   std::string prev;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto shared = vbyte_decode(block.data(), block.size(), pos);
-    const auto suffix_len = vbyte_decode(block.data(), block.size(), pos);
-    HET_CHECK_MSG(shared <= prev.size(), "front coding prefix exceeds previous term");
-    HET_CHECK_MSG(pos + suffix_len <= block.size(), "front coding suffix overrun");
+    std::uint64_t shared = 0, suffix_len = 0;
+    if (!next(shared) || !next(suffix_len) || shared > prev.size() ||
+        suffix_len > block.size() - pos) {
+      return Error{ErrorCode::kCorrupt, "malformed front-coded term"};
+    }
     std::string term = prev.substr(0, shared);
     term.append(reinterpret_cast<const char*>(block.data() + pos), suffix_len);
     pos += suffix_len;

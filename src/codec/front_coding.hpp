@@ -13,15 +13,18 @@
 #include <string_view>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace hetindex {
 
 /// Encodes `terms` (must be sorted; duplicates allowed) into a front-coded
 /// byte block.
 std::vector<std::uint8_t> front_code(const std::vector<std::string>& terms);
 
-/// Decodes a block produced by front_code. `count` terms are read.
-std::vector<std::string> front_decode(const std::vector<std::uint8_t>& block,
-                                      std::size_t count);
+/// Decodes a block produced by front_code. `count` terms are read; kCorrupt
+/// when the block holds fewer or is malformed.
+Expected<std::vector<std::string>> front_decode(const std::vector<std::uint8_t>& block,
+                                                std::size_t count);
 
 /// Length of the longest common prefix of two strings.
 std::size_t common_prefix_length(std::string_view a, std::string_view b);

@@ -15,7 +15,7 @@
 ///   Observe      obs::MetricsRegistry / MetricsSnapshot / StageSpan — live
 ///                queue depths, stall times and per-stage rates
 ///                (docs/OBSERVABILITY.md); PipelineReport::to_json()
-///   Query        InvertedIndex (run-file or mmapped-segment backed),
+///   Query        InvertedIndex (served from the mmapped segment),
 ///                boolean/phrase ops, BM25 ranking, DocMap, index
 ///                verification, the run-file merger, segment compaction
 ///   Serve        SearchBackend (the serving interface: QueryRequest in,
@@ -45,6 +45,7 @@
 ///
 /// Quick start:
 ///   hetindex::IndexBuilder builder;                 // paper defaults
+///   builder.emit_segment(true);                     // serve what it builds
 ///   auto report = builder.build(files, "out_dir");  // construct index
 ///   auto index = hetindex::InvertedIndex::open("out_dir", {}).value();
 ///   hetindex::DocMap docs =
@@ -152,8 +153,8 @@ class IndexBuilder {
     config_.merge_after_build = merge;
     return *this;
   }
-  /// Also emit the single-file serving segment (see postings/segment.hpp);
-  /// InvertedIndex::open() then serves from it via mmap.
+  /// Also emit the single-file serving segment (see postings/segment.hpp),
+  /// the only thing InvertedIndex::open() serves; else run compact_index().
   IndexBuilder& emit_segment(bool emit) {
     config_.emit_segment = emit;
     return *this;
@@ -173,7 +174,7 @@ class IndexBuilder {
   [[nodiscard]] PipelineConfig& config() { return config_; }
 
   /// Configuration problems that would make build() abort; empty == valid.
-  /// Same structured error type as InvertedIndex::open(dir, OpenOptions).
+  /// Same structured error type as InvertedIndex::open(dir, {}).
   [[nodiscard]] std::vector<Error> validate() const { return config_.validate(); }
 
   /// Builds inverted files for the container files under `output_dir`.

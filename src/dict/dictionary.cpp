@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "codec/front_coding.hpp"
+#include "io/env.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 
@@ -155,27 +156,48 @@ void dictionary_write(const Dictionary& dict, const std::string& path) {
   write_file(path, out);
 }
 
-std::vector<DictionaryEntry> dictionary_read(const std::string& path) {
-  const auto data = read_file(path);
-  ByteReader r(data);
-  HET_CHECK_MSG(r.u32() == kDictMagic, "not a hetindex dictionary file");
+Expected<std::vector<DictionaryEntry>> try_dictionary_read(const std::string& path) {
+  const auto corrupt = [&path](const std::string& what) {
+    return Error{ErrorCode::kCorrupt, what + ": " + path};
+  };
+  const auto file = io::env().read_file(path);
+  if (!file) return file.error();
+  ByteReader r(file.value());
+  if (r.remaining() < 12) return corrupt("dictionary file truncated");
+  if (r.u32() != kDictMagic) return corrupt("not a hetindex dictionary file");
   const std::uint64_t total = r.u64();
+  // Bound the counts by the payload before allocating: every term takes at
+  // least its 8-byte postings key plus 2 front-coded bytes.
+  constexpr std::size_t kMinTermBytes = 10;
+  if (total > r.remaining() / kMinTermBytes) {
+    return corrupt("dictionary term count exceeds its payload");
+  }
   std::vector<DictionaryEntry> entries;
   entries.reserve(total);
   while (entries.size() < total) {
+    if (r.remaining() < 12) return corrupt("dictionary file truncated");
     const std::uint32_t trie_idx = r.u32();
     const std::uint32_t count = r.u32();
     const std::uint32_t block_size = r.u32();
+    if (block_size > r.remaining() || count > (r.remaining() - block_size) / 8 ||
+        count > total - entries.size()) {
+      return corrupt("dictionary collection exceeds its payload");
+    }
     std::vector<std::uint8_t> block(block_size);
     r.bytes(block.data(), block_size);
     auto terms = front_decode(block, count);
+    if (!terms) return corrupt(terms.error().message);
     for (std::uint32_t k = 0; k < count; ++k) {
       const std::uint32_t shard = r.u32();
       const std::uint32_t handle = r.u32();
-      entries.push_back({std::move(terms[k]), trie_idx, shard, handle});
+      entries.push_back({std::move(terms.value()[k]), trie_idx, shard, handle});
     }
   }
   return entries;
+}
+
+std::vector<DictionaryEntry> dictionary_read(const std::string& path) {
+  return try_dictionary_read(path).value();
 }
 
 }  // namespace hetindex

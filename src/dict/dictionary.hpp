@@ -16,6 +16,7 @@
 #include "dict/btree.hpp"
 #include "dict/trie_table.hpp"
 #include "util/arena.hpp"
+#include "util/error.hpp"
 
 namespace hetindex {
 
@@ -104,7 +105,11 @@ class Dictionary {
 /// On-disk dictionary format ("Dictionary Write" of Table VI): per
 /// collection, a front-coded suffix block plus the postings handles.
 void dictionary_write(const Dictionary& dict, const std::string& path);
-/// Loads entries written by dictionary_write.
+/// Loads entries written by dictionary_write: kNotFound when absent,
+/// kCorrupt on a bad magic, counts that overrun the file or a damaged
+/// front-coded block.
+Expected<std::vector<DictionaryEntry>> try_dictionary_read(const std::string& path);
+/// try_dictionary_read(), aborting on failure.
 std::vector<DictionaryEntry> dictionary_read(const std::string& path);
 
 }  // namespace hetindex

@@ -51,9 +51,10 @@ struct PipelineConfig {
   bool use_string_cache = true;
   /// Run the <10% post-pass that merges partial postings lists (§III.F).
   bool merge_after_build = false;
-  /// Also fold the run files into a single-file serving segment
-  /// (`index.seg`, postings/segment.hpp) at finalize; InvertedIndex::open
-  /// then serves from the segment.
+  /// Also fold the run files into the single-file serving segment
+  /// (`index.seg`, postings/segment.hpp) at finalize — the only thing
+  /// InvertedIndex::open serves. Off, the build ends at the paper's run
+  /// files, and compact_index() folds them later.
   bool emit_segment = false;
   /// Parsed-block buffers per parser before back-pressure stalls it.
   std::size_t buffers_per_parser = 2;
@@ -81,7 +82,7 @@ struct PipelineConfig {
   /// (zero parsers, zero indexers, zero back-pressure buffers, GPUs with
   /// zero thread blocks, a degenerate sampler, an empty output dir).
   /// Returns one structured Error (code kInvalidArgument) per problem —
-  /// the same error type InvertedIndex::open(dir, OpenOptions) reports —
+  /// the same error type InvertedIndex::open(dir, {}) reports —
   /// empty means valid. PipelineEngine::build() calls this first and
   /// refuses invalid configs.
   [[nodiscard]] std::vector<Error> validate() const;

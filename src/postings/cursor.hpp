@@ -9,7 +9,7 @@
 ///
 ///   segment          seeks via the block index; skipped blocks are never
 ///                    decoded (the Block-Max fast path)
-///   decoded list     run files, memtable positions and cached lists behind
+///   decoded list     memtable positions and cached lists behind
 ///                    the same interface, with synthetic
 ///                    kPostingsBlockSize-doc blocks whose maxima are
 ///                    computed lazily — skips save scoring, not decode
@@ -106,8 +106,8 @@ std::unique_ptr<PostingsCursor> make_segment_cursor(
     const std::uint8_t* blob, std::size_t blob_bytes, const PostingBlockEntry* entries,
     std::size_t entry_count, std::shared_ptr<const void> pin);
 
-/// Cursor over an already-decoded list (runs backend, positional memtable
-/// parts, cached lists). Blocks are synthesized every
+/// Cursor over an already-decoded list (positional memtable parts, cached
+/// lists). Blocks are synthesized every
 /// kPostingsBlockSize docs; block maxima are computed on first use.
 std::unique_ptr<PostingsCursor> make_decoded_cursor(
     std::shared_ptr<const QueryPostings> postings);

@@ -1,18 +1,11 @@
 #pragma once
 /// \file query.hpp
-/// Read path over a built index. Two backends share one interface:
-///
-///   run files   every `run_*.post` loaded into memory, terms resolved via
-///               the dictionary — the build-time view, and still the §III.F
-///               per-run layout whose doc-ID-range narrowing only touches
-///               runs overlapping the query range
-///   segment     one mmapped `index.seg` (see postings/segment.hpp) with
-///               zero-copy terms and per-lookup lazy decode — the serving
-///               view produced by emit_segment or compact_index()
-///
-/// open() auto-detects (segment preferred when present). Both backends are
-/// safe for concurrent readers: the segment keeps no per-lookup state, and
-/// read-path metrics go to lock-free/lightly-locked obs instruments.
+/// Read path over a built index: one mmapped `index.seg` (see
+/// postings/segment.hpp) with zero-copy terms and per-lookup lazy decode —
+/// the serving view produced by emit_segment or compact_index(). The §III.F
+/// run files are build intermediates and are never served. The segment
+/// keeps no per-lookup state and read-path metrics go to lock-free/lightly-
+/// locked obs instruments, so any number of threads may share one index.
 
 #include <cstdint>
 #include <functional>
@@ -22,10 +15,8 @@
 #include <string_view>
 #include <vector>
 
-#include "dict/dictionary.hpp"
 #include "obs/metrics.hpp"
 #include "postings/bloom.hpp"
-#include "postings/run_file.hpp"
 #include "postings/segment.hpp"
 #include "util/error.hpp"
 
@@ -53,29 +44,18 @@ struct QueryPostings {
   std::vector<std::uint32_t> positions;
 };
 
-/// Which backend InvertedIndex::open() should serve from.
-enum class IndexBackend {
-  kAuto,     ///< segment when `index.seg` exists, else run files
-  kRuns,     ///< force the run-file backend (dictionary + runs in memory)
-  kSegment,  ///< force the mmapped-segment backend
-};
+/// Options for InvertedIndex::open(); none yet. An aggregate so call sites
+/// spell the default as `open(dir, {})`.
+struct OpenOptions {};
 
-/// Options for InvertedIndex::open(). An aggregate so call sites can spell
-/// the default as `open(dir, {})` and a forced backend as
-/// `open(dir, {IndexBackend::kRuns})`.
-struct OpenOptions {
-  IndexBackend backend = IndexBackend::kAuto;
-};
-
-/// Queryable view of an index directory (run-file or segment backed).
+/// Queryable view of an index directory's segment.
 class InvertedIndex {
  public:
-  /// Opens `dir` with the requested backend. Missing index files report
-  /// ErrorCode::kNotFound, a failed segment checksum or structural check
-  /// kCorrupt, an unknown segment version or codec kUnsupported — instead
-  /// of aborting, so callers can fall back or surface the message. (Deep
-  /// corruption inside the run-file loaders still hard-fails; the CRC'd
-  /// segment is the backend with end-to-end soft validation.)
+  /// Opens `dir/index.seg`. A missing segment reports ErrorCode::kNotFound
+  /// (naming `compact` when the directory holds a runs-only build), a
+  /// failed checksum or structural check kCorrupt, an unknown version or
+  /// codec kUnsupported — instead of aborting, so callers can surface the
+  /// message.
   static Expected<InvertedIndex> open(const std::string& dir, const OpenOptions& options);
 
   InvertedIndex(InvertedIndex&&) noexcept;
@@ -87,13 +67,10 @@ class InvertedIndex {
   [[nodiscard]] std::optional<QueryPostings> lookup(std::string_view term) const;
 
   /// Block-level cursor over `term`'s postings (see postings/cursor.hpp);
-  /// nullptr when the term is unknown or its list is empty. Segment-backed
-  /// this is a zero-copy blob cursor that decodes only the blocks it lands
-  /// on; run-file backed it wraps a decoded list. The cursor borrows the
-  /// index — it must not outlive this object. `with_positions` asks for
-  /// current_positions() support: the segment cursor serves positions
-  /// natively (lazy per-block re-decode); the run-file cursor then
-  /// materializes the positional list up front.
+  /// nullptr when the term is unknown or its list is empty. A zero-copy
+  /// blob cursor that decodes only the blocks it lands on, positions
+  /// included, so `with_positions` costs nothing up front. The cursor
+  /// borrows the index — it must not outlive this object.
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_cursor(
       std::string_view term, bool with_positions = false) const;
 
@@ -101,11 +78,10 @@ class InvertedIndex {
   /// when the index was not built with record_positions).
   [[nodiscard]] std::optional<QueryPostings> lookup_positional(std::string_view term) const;
 
-  /// Postings restricted to doc ids in [min_doc, max_doc]; only blobs whose
-  /// doc ranges overlap are decoded. `runs_touched` (optional out) reports
-  /// how many run files (or, segment-backed, whether the term's blob) were
-  /// actually read — the quantity the §III.F range-narrowing claim is
-  /// about.
+  /// Postings restricted to doc ids in [min_doc, max_doc]; the term's blob
+  /// is decoded only when its doc range overlaps. `runs_touched` (optional
+  /// out) is 1 when the blob was read and 0 when the range skipped it —
+  /// the quantity the §III.F range-narrowing claim is about.
   [[nodiscard]] std::optional<QueryPostings> lookup_range(
       std::string_view term, std::uint32_t min_doc, std::uint32_t max_doc,
       std::size_t* runs_touched = nullptr) const;
@@ -121,30 +97,17 @@ class InvertedIndex {
   void for_each_term(const std::function<void(std::string_view)>& fn) const;
 
   /// Per-term maximum term frequency, from the segment's block index (see
-  /// postings/segment.hpp); nullopt for unknown terms and on the run-file
-  /// backend. The top-k executor turns this into a BM25 score upper bound
-  /// for early termination, falling back to the loose idf·(k1+1) bound
-  /// otherwise.
+  /// postings/segment.hpp); nullopt for unknown terms. The top-k executor
+  /// turns this into a BM25 score upper bound for early termination.
   [[nodiscard]] std::optional<std::uint32_t> max_tf(std::string_view term) const;
   /// The term's Bloom rejection chain (postings/bloom.hpp): empty — never
-  /// rejects — when the segment has no `.blm`, the index is run-file backed
-  /// or the term is unknown. The chain borrows this index and must not
-  /// outlive it.
+  /// rejects — when the segment has no `.blm` or the term is unknown. The
+  /// chain borrows this index and must not outlive it.
   [[nodiscard]] BloomChain bloom_chain(std::string_view term) const;
 
-  /// True when serving from a compacted segment.
-  [[nodiscard]] bool segment_backed() const { return segment_ != nullptr; }
-  /// The underlying segment reader; nullptr when run-file backed.
-  [[nodiscard]] const SegmentReader* segment() const {
-    return segment_ != nullptr ? &segment_->reader : nullptr;
-  }
-
-  /// Raw dictionary entries — run-file backend only (the segment never
-  /// materializes them); hard-fails otherwise. Prefer for_each_term().
-  [[nodiscard]] const std::vector<DictionaryEntry>& entries() const;
-  /// Loaded run files (0 when segment-backed).
-  [[nodiscard]] std::size_t run_count() const { return runs_.size(); }
-  [[nodiscard]] std::uint64_t term_count() const;
+  /// The underlying segment reader (never null).
+  [[nodiscard]] const SegmentReader* segment() const { return &segment_->reader; }
+  [[nodiscard]] std::uint64_t term_count() const { return segment_->reader.term_count(); }
 
   /// Read-path metrics: query_lookups_total, query_lookup_misses_total,
   /// query_postings_decoded_total, query_bytes_decoded_total,
@@ -155,15 +118,12 @@ class InvertedIndex {
   struct ReadInstruments;
 
   InvertedIndex();
-  [[nodiscard]] const DictionaryEntry* find_entry(std::string_view term) const;
   [[nodiscard]] std::optional<QueryPostings> lookup_impl(std::string_view term,
                                                          bool positional) const;
 
   std::unique_ptr<obs::MetricsRegistry> metrics_;  // stable instrument addresses
   std::unique_ptr<ReadInstruments> ins_;
-  std::vector<DictionaryEntry> entries_;  // sorted by term (run-file backend)
-  std::vector<RunFile> runs_;             // ascending run id (run-file backend)
-  std::unique_ptr<ServedSegment> segment_;  // nullptr = run-file backend
+  std::unique_ptr<ServedSegment> segment_;
 };
 
 }  // namespace hetindex

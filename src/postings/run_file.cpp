@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "io/env.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -84,18 +85,34 @@ std::uint64_t RunFileWriter::finalize() {
   return out.size();
 }
 
-RunFile RunFile::open(const std::string& path) {
-  const auto data = read_file(path);
-  ByteReader r(data);
-  HET_CHECK_MSG(r.u32() == kRunMagic, "not a hetindex run file");
+Expected<RunFile> RunFile::try_open(const std::string& path) {
+  const auto corrupt = [&path](const std::string& what) {
+    return Error{ErrorCode::kCorrupt, what + ": " + path};
+  };
+  const auto file = io::env().read_file(path);
+  if (!file) return file.error();
+  ByteReader r(file.value());
+  constexpr std::size_t kHeaderBytes = 33, kRowBytes = 32;
+  if (r.remaining() < kHeaderBytes) return corrupt("run file truncated");
+  if (r.u32() != kRunMagic) return corrupt("not a hetindex run file");
   RunFile rf;
   rf.run_id_ = r.u32();
-  rf.codec_ = static_cast<PostingCodec>(r.u8());
+  const std::uint8_t codec = r.u8();
+  if (codec > static_cast<std::uint8_t>(PostingCodec::kBitPacked)) {
+    return Error{ErrorCode::kUnsupported, "unknown run file posting codec: " + path};
+  }
+  rf.codec_ = static_cast<PostingCodec>(codec);
   rf.min_doc_ = r.u32();
   rf.max_doc_ = r.u32();
   const std::uint32_t count = r.u32();
   const std::uint64_t blob_bytes = r.u64();
   const std::uint32_t blob_crc = r.u32();
+  // Bound the table by the payload before allocating; the blob area is
+  // whatever follows it.
+  if (count > r.remaining() / kRowBytes ||
+      blob_bytes != r.remaining() - std::uint64_t{count} * kRowBytes) {
+    return corrupt("run file table and blob area disagree with its size");
+  }
   rf.table_.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     auto& e = rf.table_[i];
@@ -106,16 +123,22 @@ RunFile RunFile::open(const std::string& path) {
     e.count = r.u32();
     e.min_doc = r.u32();
     e.max_doc = r.u32();
+    if (e.offset > blob_bytes || e.bytes > blob_bytes - e.offset) {
+      return corrupt("run file table entry outside its blob area");
+    }
     rf.by_key_.emplace(e.key, i);
   }
   // Only the blob area is kept (the table bytes are parsed above), so a
   // fold over many small runs holds no second copy of their tables.
   rf.blobs_.resize(blob_bytes);
   r.bytes(rf.blobs_.data(), blob_bytes);
-  HET_CHECK_MSG(crc32(rf.blobs_.data(), rf.blobs_.size()) == blob_crc,
-                "run file blob corruption");
+  if (crc32(rf.blobs_.data(), rf.blobs_.size()) != blob_crc) {
+    return corrupt("run file blob corruption");
+  }
   return rf;
 }
+
+RunFile RunFile::open(const std::string& path) { return try_open(path).value(); }
 
 bool RunFile::fetch(PostingKey key, std::vector<std::uint32_t>& doc_ids,
                     std::vector<std::uint32_t>& tfs,
@@ -155,19 +178,37 @@ void index_directory_write(const std::string& path,
   write_file(path, out);
 }
 
-std::vector<IndexDirectoryEntry> index_directory_read(const std::string& path) {
-  const auto data = read_file(path);
-  ByteReader r(data);
-  HET_CHECK_MSG(r.u32() == kDirMagic, "not a hetindex index directory");
+Expected<std::vector<IndexDirectoryEntry>> try_index_directory_read(
+    const std::string& path) {
+  const auto corrupt = [&path](const std::string& what) {
+    return Error{ErrorCode::kCorrupt, what + ": " + path};
+  };
+  const auto file = io::env().read_file(path);
+  if (!file) return file.error();
+  ByteReader r(file.value());
+  if (r.remaining() < 8) return corrupt("run directory truncated");
+  if (r.u32() != kDirMagic) return corrupt("not a hetindex index directory");
   const std::uint32_t count = r.u32();
+  constexpr std::size_t kMinEntryBytes = 16;  // name length + run id + doc range
+  if (count > r.remaining() / kMinEntryBytes) {
+    return corrupt("run directory count exceeds its payload");
+  }
   std::vector<IndexDirectoryEntry> entries(count);
   for (auto& e : entries) {
-    e.file = r.str();
+    if (r.remaining() < kMinEntryBytes) return corrupt("run directory truncated");
+    const std::uint32_t name_bytes = r.u32();
+    if (name_bytes > r.remaining() - 12) return corrupt("run directory truncated");
+    e.file.resize(name_bytes);
+    r.bytes(e.file.data(), name_bytes);
     e.run_id = r.u32();
     e.min_doc = r.u32();
     e.max_doc = r.u32();
   }
   return entries;
+}
+
+std::vector<IndexDirectoryEntry> index_directory_read(const std::string& path) {
+  return try_index_directory_read(path).value();
 }
 
 }  // namespace hetindex

@@ -15,6 +15,7 @@
 
 #include "codec/posting_codecs.hpp"
 #include "postings/postings_store.hpp"
+#include "util/error.hpp"
 
 namespace hetindex {
 
@@ -83,6 +84,12 @@ class RunFileWriter {
 /// Memory-resident reader of a run file.
 class RunFile {
  public:
+  /// Reads and validates `path`: a missing file reports kNotFound, an
+  /// unknown codec kUnsupported, and a bad magic, a table that disagrees
+  /// with the file size, a table entry outside the blob area or a failed
+  /// blob CRC kCorrupt. The table itself carries no CRC.
+  static Expected<RunFile> try_open(const std::string& path);
+  /// try_open(), aborting with the error message on failure.
   static RunFile open(const std::string& path);
 
   [[nodiscard]] std::uint32_t run_id() const { return run_id_; }
@@ -129,6 +136,10 @@ struct IndexDirectoryEntry {
 
 void index_directory_write(const std::string& path,
                            const std::vector<IndexDirectoryEntry>& entries);
+/// kNotFound when absent; kCorrupt on a bad magic or a count or name
+/// length that overruns the file.
+Expected<std::vector<IndexDirectoryEntry>> try_index_directory_read(const std::string& path);
+/// try_index_directory_read(), aborting on failure.
 std::vector<IndexDirectoryEntry> index_directory_read(const std::string& path);
 
 }  // namespace hetindex

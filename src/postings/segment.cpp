@@ -736,24 +736,43 @@ Expected<std::uint64_t> write_segment_files(const std::string& seg_path,
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory, std::size_t threads) {
+  const auto corrupt = [&dir](const std::string& what) {
+    return Error{ErrorCode::kCorrupt, what + ": " + dir};
+  };
   ThreadPool pool(threads);
   SegmentBuildStats stats;
+  // Everything below judges on-disk input, so bad input returns an error
+  // instead of aborting. Parallel workers park theirs in per-slot `failed`
+  // entries; the first in slot order is the one returned.
   std::vector<RunFile> runs(directory.size());
+  std::vector<std::optional<Error>> failed(runs.size());
+  const auto first_failure = [&failed] {
+    const auto it = std::find_if(failed.begin(), failed.end(),
+                                 [](const std::optional<Error>& e) { return e.has_value(); });
+    return it == failed.end() ? std::nullopt : *it;
+  };
   pool.parallel_for(runs.size(), [&](std::size_t i) {
-    runs[i] = RunFile::open(dir + "/" + directory[i].file);
+    auto run = RunFile::try_open(dir + "/" + directory[i].file);
+    if (run) {
+      runs[i] = std::move(run).value();
+    } else {
+      failed[i] = run.error();
+    }
   });
+  if (auto error = first_failure()) return *error;
   std::sort(runs.begin(), runs.end(),
             [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
   stats.runs = runs.size();
   const PostingCodec codec = runs.empty() ? PostingCodec::kVByte : runs.front().codec();
   for (const auto& run : runs) {
-    HET_CHECK_MSG(run.codec() == codec, "segment build requires a uniform posting codec");
+    if (run.codec() != codec) return corrupt("segment build requires a uniform posting codec");
   }
-  HET_CHECK_MSG(std::is_sorted(entries.begin(), entries.end(),
-                               [](const DictionaryEntry& a, const DictionaryEntry& b) {
-                                 return a.term < b.term;
-                               }),
-                "segment build requires a sorted dictionary");
+  if (!std::is_sorted(entries.begin(), entries.end(),
+                      [](const DictionaryEntry& a, const DictionaryEntry& b) {
+                        return a.term < b.term;
+                      })) {
+    return corrupt("segment build requires a sorted dictionary");
+  }
 
   // Same byte-level fold as merge_runs, but driven by the sorted dictionary
   // so terms land in final order: per term, its partial blobs concatenate
@@ -787,6 +806,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   // size) sub-lists. Exact for the common run, so the block index is
   // reserved once; a part of several flushes only makes it grow.
   std::vector<std::uint64_t> chunk_blocks(pieces);
+  failed.assign(pieces, std::nullopt);
   pool.parallel_for(pieces, [&](std::size_t c) {
     const std::size_t end = std::min(n_entries, (c + 1) * chunk);
     std::vector<Part>& list = parts[c];
@@ -798,8 +818,10 @@ Expected<SegmentBuildStats> build_segment_from_runs(
       for (std::size_t r = 0; r < n_runs; ++r) {
         const RunTableEntry* e = runs[r].entry(key);
         if (e == nullptr) continue;
-        HET_CHECK_MSG(count == 0 || e->min_doc > mx,
-                      "doc ids must be globally increasing across runs");
+        if (count != 0 && e->min_doc <= mx) {
+          failed[c] = corrupt("doc ids must be globally increasing across runs");
+          return;
+        }
         mx = e->max_doc;
         count += e->count;
         bytes += e->bytes;
@@ -807,14 +829,17 @@ Expected<SegmentBuildStats> build_segment_from_runs(
         list.push_back({static_cast<std::uint32_t>(r),
                         static_cast<std::uint32_t>(e - runs[r].table().data())});
       }
-      HET_CHECK_MSG(count <= 0xFFFFFFFFull && bytes <= 0xFFFFFFFFull,
-                    "segment term exceeds 32-bit postings table fields");
+      if (count > 0xFFFFFFFFull || bytes > 0xFFFFFFFFull) {
+        failed[c] = corrupt("segment term exceeds 32-bit postings table fields");
+        return;
+      }
       HET_CHECK(list.size() <= 0xFFFFFFFFull);
       counts[i] = static_cast<std::uint32_t>(count);
       blob_bytes[i] = bytes;
       part_end[i] = static_cast<std::uint32_t>(list.size());
     }
   });
+  if (auto error = first_failure()) return *error;
   const auto parts_of = [&](std::size_t i) {
     const std::uint32_t begin = i % chunk == 0 ? 0 : part_end[i - 1];
     return std::span<const Part>(parts[i / chunk].data() + begin, part_end[i] - begin);
@@ -899,6 +924,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   block_index.reserve(emitted, expected_blocks);
   std::mutex rows_mu;
   std::size_t rows_taken = 0;  ///< ranges whose rows are in block_index
+  failed.assign(ranges.size(), std::nullopt);
   pool.parallel_for(ranges.size(), [&](std::size_t k) {
     Range& r = ranges[k];
     std::uint8_t* dict_at = dict_area + r.dict_off;
@@ -943,7 +969,10 @@ Expected<SegmentBuildStats> build_segment_from_runs(
         }
         term_bytes += bytes;
       }
-      HET_CHECK_MSG(decoded == counts[i], "run table count disagrees with its postings");
+      if (decoded != counts[i]) {
+        failed[k] = corrupt("run table count disagrees with its postings");
+        return;
+      }
       put_table_row(table_area + ord * kTableRowBytes, blob_off,
                     static_cast<std::uint32_t>(term_bytes), counts[i], mn, mx);
       r.row_counts.push_back(static_cast<std::uint32_t>(r.rows.size() - first_row));
@@ -963,6 +992,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
       std::vector<std::uint32_t>().swap(done.row_counts);
     }
   });
+  if (auto error = first_failure()) return *error;
   // Every blob is in the image now.
   std::vector<RunFile>().swap(runs);
   std::vector<std::vector<Part>>().swap(parts);
@@ -982,9 +1012,11 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 }
 
 Expected<SegmentBuildStats> compact_index(const std::string& dir) {
-  const auto entries = dictionary_read(IndexLayout::dictionary_path(dir));
-  const auto directory = index_directory_read(IndexLayout::directory_path(dir));
-  return build_segment_from_runs(dir, entries, directory);
+  const auto entries = try_dictionary_read(IndexLayout::dictionary_path(dir));
+  if (!entries) return entries.error();
+  const auto directory = try_index_directory_read(IndexLayout::directory_path(dir));
+  if (!directory) return directory.error();
+  return build_segment_from_runs(dir, entries.value(), directory.value());
 }
 
 }  // namespace hetindex

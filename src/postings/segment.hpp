@@ -320,16 +320,22 @@ struct SegmentBuildStats {
 /// concatenate byte-wise via the §III.F merge property; nothing is
 /// re-encoded. The dictionary is cut into contiguous term ranges folded
 /// concurrently on `threads` workers (0 = hardware concurrency) straight
-/// into the final file buffers; every width writes the same bytes. kIo
-/// when an output cannot be written durably (none is left behind).
+/// into the final file buffers; every width writes the same bytes. Damaged
+/// input comes back as the first error found — a run's RunFile::try_open
+/// error, or kCorrupt for mixed codecs, an unsorted dictionary, runs whose
+/// doc ranges overlap for one term or a table count that disagrees with
+/// its blob — and kIo when an output cannot be written durably (none is
+/// left behind either way).
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory, std::size_t threads = 0);
 
 /// Reads dictionary + run directory under `dir` and compacts the run files
-/// into `<dir>/index.seg`. Run files are left in place: they stay the
-/// build-time interchange format (and the merger's input). kIo when the
-/// segment or sidecar cannot be written durably.
+/// into `<dir>/index.seg` — the only way from a runs-only build to an index
+/// InvertedIndex::open() serves. Run files are left in place: they stay the
+/// build-time interchange format (and the merger's input). Errors are those
+/// of try_dictionary_read, try_index_directory_read and
+/// build_segment_from_runs.
 Expected<SegmentBuildStats> compact_index(const std::string& dir);
 
 /// What a segment-to-segment merge folded together.

@@ -7,20 +7,21 @@
 #include "dict/trie_table.hpp"
 #include "postings/query.hpp"
 #include "postings/run_file.hpp"
-#include "util/binary_io.hpp"
+#include "util/error.hpp"
 
 namespace hetindex {
 
 VerifyReport verify_index(const std::string& dir) {
   VerifyReport report;
 
-  // ---- Dictionary.
-  const auto dict_path = IndexLayout::dictionary_path(dir);
-  if (!file_exists(dict_path)) {
-    report.fail("missing dictionary file: " + dict_path);
+  // ---- Dictionary. Load failures (a missing file included) are reported
+  // with their structured error.
+  const auto loaded = try_dictionary_read(IndexLayout::dictionary_path(dir));
+  if (!loaded) {
+    report.fail(loaded.error().to_string());
     return report;
   }
-  const auto entries = dictionary_read(dict_path);
+  const auto& entries = loaded.value();
   report.terms = entries.size();
   std::map<std::pair<std::uint32_t, std::uint32_t>, const DictionaryEntry*> by_key;
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -37,12 +38,12 @@ VerifyReport verify_index(const std::string& dir) {
   }
 
   // ---- Run directory + run files.
-  const auto dir_path = IndexLayout::directory_path(dir);
-  if (!file_exists(dir_path)) {
-    report.fail("missing run directory: " + dir_path);
+  auto listed = try_index_directory_read(IndexLayout::directory_path(dir));
+  if (!listed) {
+    report.fail(listed.error().to_string());
     return report;
   }
-  auto dir_entries = index_directory_read(dir_path);
+  auto& dir_entries = listed.value();
   std::sort(dir_entries.begin(), dir_entries.end(),
             [](const IndexDirectoryEntry& a, const IndexDirectoryEntry& b) {
               return a.run_id < b.run_id;
@@ -52,12 +53,12 @@ VerifyReport verify_index(const std::string& dir) {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last_doc;  // key → max doc
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> posting_count;
   for (const auto& de : dir_entries) {
-    const auto run_path = dir + "/" + de.file;
-    if (!file_exists(run_path)) {
-      report.fail("missing run file: " + de.file);
+    const auto opened = RunFile::try_open(dir + "/" + de.file);  // blob CRC checked here
+    if (!opened) {
+      report.fail(opened.error().to_string());
       continue;
     }
-    const auto run = RunFile::open(run_path);  // blob CRC checked here
+    const auto& run = opened.value();
     if (run.run_id() != de.run_id) {
       report.fail(de.file + ": run id mismatch with directory");
     }

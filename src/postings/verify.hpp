@@ -28,12 +28,15 @@ struct VerifyReport {
 /// Checks, in order:
 ///  - dictionary file parses, terms sorted and unique, every term's trie
 ///    index matches its stored collection;
-///  - run directory parses; every listed run file exists, opens (blob CRC
-///    verified by the reader) and has consistent in-file doc ranges;
+///  - run directory parses; every listed run file exists, opens (table
+///    bounds and blob CRC verified by RunFile::try_open) and has consistent
+///    in-file doc ranges;
 ///  - every run-file table entry's key exists in the dictionary;
 ///  - per key, postings are strictly doc-sorted within and across runs and
 ///    entry min/max match the decoded lists;
 ///  - every dictionary term has at least one posting somewhere.
+/// A dictionary, directory or run file that fails to load is reported as an
+/// error instead of aborting.
 VerifyReport verify_index(const std::string& dir);
 
 }  // namespace hetindex

@@ -211,9 +211,12 @@ std::shared_ptr<const QueryPostings> Searcher::fetch_postings(
   return postings;
 }
 
-std::optional<std::uint32_t> Searcher::term_max_tf(
-    const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const {
-  return snap != nullptr ? snap->max_tf(term) : index_->max_tf(term);
+std::uint32_t Searcher::term_max_tf(const std::shared_ptr<const LiveSnapshot>& snap,
+                                    const std::string& term) const {
+  const auto max_tf = snap != nullptr ? snap->max_tf(term) : index_->max_tf(term);
+  // Asked only for terms the view opened a cursor over, so it holds them.
+  HET_CHECK_MSG(max_tf.has_value(), "max_tf asked for a term the view does not hold");
+  return *max_tf;
 }
 
 std::unique_ptr<PostingsCursor> Searcher::open_term_cursor(
@@ -596,12 +599,11 @@ Expected<QueryResponse> Searcher::search(
         // list's length would give, so idf matches exhaustive exactly.
         input.idf = bm25_idf(
             scatter != nullptr ? scatter->term_dfs[t] : cursors[t]->size(), n_docs);
-        const auto max_tf = term_max_tf(snap, terms[t]);
         // The bound pairs the (possibly global) idf with the local
         // max_tf: contributions below use the same idf, so the bound
         // still over-covers and pruning stays exact.
-        input.upper_bound = max_tf ? bm25_upper_bound(input.idf, *max_tf, request.bm25)
-                                   : bm25_loose_bound(input.idf, request.bm25);
+        input.upper_bound =
+            bm25_upper_bound(input.idf, term_max_tf(snap, terms[t]), request.bm25);
         input.cursor = std::move(cursors[t]);
         inputs.push_back(std::move(input));
       }

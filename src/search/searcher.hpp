@@ -148,8 +148,10 @@ class Searcher : public SearchBackend {
   [[nodiscard]] std::shared_ptr<const QueryPostings> fetch_postings(
       const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id,
       const std::string& term) const;
-  [[nodiscard]] std::optional<std::uint32_t> term_max_tf(
-      const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
+  /// The term's largest tf over the bound view; the term must be in it
+  /// (the caller holds a non-null cursor over it).
+  [[nodiscard]] std::uint32_t term_max_tf(const std::shared_ptr<const LiveSnapshot>& snap,
+                                          const std::string& term) const;
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_term_cursor(
       const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term,
       bool with_positions = false) const;

@@ -90,10 +90,6 @@ double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& para
   return idf * (tf * (params.k1 + 1.0)) / (tf + c);
 }
 
-double bm25_loose_bound(double idf, const Bm25Params& params) {
-  return idf * (params.k1 + 1.0);  // the tf → ∞ limit
-}
-
 TopkResult maxscore_topk(
     std::vector<TopkTermInput> terms, std::size_t k, const Bm25Params& params,
     const DocLengthIndex& lengths, double avgdl,

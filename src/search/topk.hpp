@@ -83,9 +83,6 @@ inline double bm25_contribution(double idf, double tf, double dl, double avgdl,
 /// it bounds from above, and the remainder is monotone increasing in tf.
 double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& params);
 
-/// Loose fallback bound (tf → ∞) for terms without a max_tf sidecar.
-double bm25_loose_bound(double idf, const Bm25Params& params);
-
 /// Top-k by summed tf (the boolean modes' relevance signal), doc id
 /// breaking ties. `excluded` drops tombstoned docs (live-tier deletes).
 /// Shared by the Searcher's conjunctive/disjunctive modes and the

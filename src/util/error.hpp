@@ -1,15 +1,16 @@
 #pragma once
 /// \file error.hpp
 /// The structured error surface shared by every fallible public entry
-/// point: InvertedIndex::open(dir, OpenOptions), PipelineConfig::validate()
-/// and the live-indexing layer all speak the same Error type, so callers
-/// write one error-handling path regardless of which subsystem refused.
+/// point: InvertedIndex::open(dir, {}), the run-file loaders behind
+/// compact_index() and verify_index(), PipelineConfig::validate() and the
+/// live-indexing layer all speak the same Error type, so callers write one
+/// error-handling path regardless of which subsystem refused.
 ///
 /// Expected<T> is the return vehicle: either a value or an Error, with
 /// value() hard-failing (the historical abort-on-bad-input behaviour) when
 /// the caller does not check first. There is deliberately no exception
-/// anywhere — this library treats corrupt input as a structured refusal on
-/// the new API and as a loud abort on the deprecated shims.
+/// anywhere — corrupt input is a structured refusal from the try_* loaders
+/// and a loud abort from their aborting wrappers (RunFile::open, ...).
 
 #include <string>
 #include <utility>

@@ -340,7 +340,7 @@ TEST(FrontCoding, RoundTripSortedTerms) {
   std::vector<std::string> terms = {"", "a", "aardvark", "aardwolf", "ab", "abandon",
                                     "abandoned", "zebra", "zoo"};
   const auto block = front_code(terms);
-  EXPECT_EQ(front_decode(block, terms.size()), terms);
+  EXPECT_EQ(front_decode(block, terms.size()).value(), terms);
 }
 
 TEST(FrontCoding, CompressesSharedPrefixes) {
@@ -351,7 +351,7 @@ TEST(FrontCoding, CompressesSharedPrefixes) {
   for (const auto& t : terms) raw += t.size() + 4;
   const auto block = front_code(terms);
   EXPECT_LT(block.size(), raw / 3);
-  EXPECT_EQ(front_decode(block, terms.size()), terms);
+  EXPECT_EQ(front_decode(block, terms.size()).value(), terms);
 }
 
 TEST(FrontCoding, RejectsUnsortedInput) {

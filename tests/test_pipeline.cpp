@@ -80,7 +80,7 @@ class PipelineFixture : public ::testing::Test {
 TEST_F(PipelineFixture, BuildsQueryableIndexMatchingReference) {
   TempDir out("out");
   IndexBuilder builder;
-  builder.parsers(2).cpu_indexers(1).gpus(1);
+  builder.parsers(2).cpu_indexers(1).gpus(1).emit_segment(true);
   builder.config().sampler.popular_count = 30;
   const auto report = builder.build(collection_->paths(), out.path());
 
@@ -112,21 +112,24 @@ TEST_F(PipelineFixture, BuildsQueryableIndexMatchingReference) {
 TEST_F(PipelineFixture, GpuAndCpuOnlyBuildsProduceIdenticalIndexes) {
   TempDir out_cpu("cpu"), out_gpu("gpu");
   IndexBuilder cpu_builder;
-  cpu_builder.parsers(1).cpu_indexers(2).gpus(0);
+  cpu_builder.parsers(1).cpu_indexers(2).gpus(0).emit_segment(true);
   IndexBuilder gpu_builder;
-  gpu_builder.parsers(2).cpu_indexers(1).gpus(2);
+  gpu_builder.parsers(2).cpu_indexers(1).gpus(2).emit_segment(true);
   cpu_builder.build(collection_->paths(), out_cpu.path());
   gpu_builder.build(collection_->paths(), out_gpu.path());
 
   const auto a = InvertedIndex::open(out_cpu.path(), {}).value();
   const auto b = InvertedIndex::open(out_gpu.path(), {}).value();
   ASSERT_EQ(a.term_count(), b.term_count());
-  for (std::size_t i = 0; i < a.entries().size(); ++i) {
-    ASSERT_EQ(a.entries()[i].term, b.entries()[i].term);
-    const auto pa = a.lookup(a.entries()[i].term);
-    const auto pb = b.lookup(b.entries()[i].term);
-    ASSERT_EQ(pa->doc_ids, pb->doc_ids) << a.entries()[i].term;
-    ASSERT_EQ(pa->tfs, pb->tfs) << a.entries()[i].term;
+  std::vector<std::string> terms_a, terms_b;
+  a.for_each_term([&](std::string_view t) { terms_a.emplace_back(t); });
+  b.for_each_term([&](std::string_view t) { terms_b.emplace_back(t); });
+  ASSERT_EQ(terms_a, terms_b);
+  for (const auto& term : terms_a) {
+    const auto pa = a.lookup(term);
+    const auto pb = b.lookup(term);
+    ASSERT_EQ(pa->doc_ids, pb->doc_ids) << term;
+    ASSERT_EQ(pa->tfs, pb->tfs) << term;
   }
 }
 
@@ -162,14 +165,14 @@ TEST_F(PipelineFixture, RunRecordsCarryStageCosts) {
 TEST_F(PipelineFixture, MergedOutputMatchesPerRunOutput) {
   TempDir out("merge");
   IndexBuilder builder;
-  builder.parsers(1).cpu_indexers(1).gpus(0).merge_output(true);
+  builder.parsers(1).cpu_indexers(1).gpus(0).merge_output(true).emit_segment(true);
   const auto report = builder.build(collection_->paths(), out.path());
   EXPECT_GT(report.merge_seconds, 0.0);
 
   const auto index = InvertedIndex::open(out.path(), {}).value();
   const auto merged = RunFile::open(IndexLayout::merged_path(out.path()));
   std::size_t checked = 0;
-  for (const auto& e : index.entries()) {
+  for (const auto& e : dictionary_read(IndexLayout::dictionary_path(out.path()))) {
     const auto full = index.lookup(e.term);
     std::vector<std::uint32_t> ids, tfs;
     ASSERT_TRUE(merged.fetch({e.shard, e.handle}, ids, tfs)) << e.term;
@@ -192,18 +195,20 @@ TEST_F(PipelineFixture, SingleParserSingleIndexerStillCorrect) {
 TEST_F(PipelineFixture, ManyParsersDoNotBreakOrdering) {
   TempDir out("many");
   IndexBuilder builder;
-  builder.parsers(6).cpu_indexers(2).gpus(2);
+  builder.parsers(6).cpu_indexers(2).gpus(2).emit_segment(true);
   const auto report = builder.build(collection_->paths(), out.path());
   EXPECT_EQ(report.documents, collection_->total_docs());
   // Postings sortedness is validated inside run-file writing (checks), and
   // queries must see monotone doc ids.
   const auto index = InvertedIndex::open(out.path(), {}).value();
-  std::size_t checked = 0;
-  for (const auto& e : index.entries()) {
-    const auto got = index.lookup(e.term);
+  std::vector<std::string> terms;
+  index.for_each_term([&](std::string_view t) {
+    if (terms.size() < 200) terms.emplace_back(t);
+  });
+  for (const auto& term : terms) {
+    const auto got = index.lookup(term);
     for (std::size_t i = 1; i < got->doc_ids.size(); ++i)
-      ASSERT_LT(got->doc_ids[i - 1], got->doc_ids[i]) << e.term;
-    if (++checked >= 200) break;
+      ASSERT_LT(got->doc_ids[i - 1], got->doc_ids[i]) << term;
   }
 }
 

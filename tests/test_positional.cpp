@@ -107,7 +107,7 @@ class PositionalIndexFixture : public ::testing::Test {
     const auto corpus = dir_ + "/c.hdc";
     container_write(corpus, docs);
     IndexBuilder builder;
-    builder.parsers(1).cpu_indexers(1).gpus(1);
+    builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
     builder.config().parser.record_positions = true;
     builder.build({corpus}, dir_ + "/index");
   }

@@ -205,8 +205,8 @@ TEST(IndexDirectory, RoundTrip) {
   EXPECT_EQ(loaded[1].max_doc, 199u);
 }
 
-/// Builds a small two-run index directory by hand to exercise the query
-/// path without the full pipeline.
+/// Builds a small two-run index directory by hand and compacts it, to
+/// exercise the fold and the query path without the full pipeline.
 class InvertedIndexFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -240,6 +240,7 @@ class InvertedIndexFixture : public ::testing::Test {
     }
     index_directory_write(IndexLayout::directory_path(dir_.path()),
                           {{"run_0.post", 0, 0, 7}, {"run_1.post", 1, 20, 21}});
+    ASSERT_TRUE(compact_index(dir_.path()).has_value());
   }
 
   TempDir dir_;
@@ -255,17 +256,24 @@ TEST_F(InvertedIndexFixture, LookupConcatenatesRuns) {
   EXPECT_FALSE(idx.lookup("cherry").has_value());
 }
 
-TEST_F(InvertedIndexFixture, RangeLookupSkipsNonOverlappingRuns) {
+TEST_F(InvertedIndexFixture, RangeLookupSkipsNonOverlappingBlobs) {
   const auto idx = InvertedIndex::open(dir_.path(), {}).value();
   std::size_t touched = 0;
   const auto hits = idx.lookup_range("apple", 0, 10, &touched);
   ASSERT_TRUE(hits.has_value());
   EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{0, 7}));
-  EXPECT_EQ(touched, 1u);  // §III.F range narrowing: run 1 never decoded
+  EXPECT_EQ(touched, 1u);
 
   const auto tail = idx.lookup_range("apple", 15, 30, &touched);
   EXPECT_EQ(tail->doc_ids, (std::vector<std::uint32_t>{20}));
   EXPECT_EQ(touched, 1u);
+
+  // §III.F range narrowing: banana's blob covers [21, 21], so a range
+  // outside it never decodes the blob.
+  const auto none = idx.lookup_range("banana", 0, 10, &touched);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->doc_ids.empty());
+  EXPECT_EQ(touched, 0u);
 }
 
 TEST_F(InvertedIndexFixture, RangeLookupFiltersWithinRun) {

@@ -1,11 +1,14 @@
 // Failure-injection and edge-case tests: corrupted on-disk artifacts must
-// die loudly or, on the live tier's Expected-returning open path, come back
-// as kCorrupt (never silently return a wrong index), and degenerate inputs
+// die loudly from the aborting loaders or, on the Expected-returning paths
+// (compact_index, verify_index, the live tier's open), come back as
+// kCorrupt or kNotFound (never silently return a wrong index), and
+// degenerate inputs
 // (empty docs, stop-word-only docs, unicode-heavy text, giant tokens) must
 // flow through the full pipeline correctly.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "codec/lz.hpp"
@@ -100,11 +103,14 @@ TEST_F(CorruptionFixture, CorruptDictionaryMagicDies) {
   EXPECT_DEATH((void)dictionary_read(dict_path), "dictionary");
 }
 
-TEST_F(CorruptionFixture, MissingRunFileDies) {
-  // The dictionary opens fine, so the failure surfaces inside the run-file
-  // loader, which keeps its hard-fail behavior.
-  std::filesystem::remove(IndexLayout::run_path(index_dir_, 0));
-  EXPECT_DEATH((void)InvertedIndex::open(index_dir_, {}), "open|file");
+TEST_F(CorruptionFixture, RunsOnlyBuildReportsNotFoundNamingCompact) {
+  // Run files are a build intermediate: without index.seg there is nothing
+  // to serve, and the error says how to get there.
+  const auto result = InvertedIndex::open(index_dir_, {});
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().code, ErrorCode::kNotFound);
+  EXPECT_NE(result.error().message.find("compact"), std::string::npos)
+      << result.error().message;
 }
 
 TEST_F(CorruptionFixture, MissingIndexReportsNotFound) {
@@ -114,19 +120,60 @@ TEST_F(CorruptionFixture, MissingIndexReportsNotFound) {
   EXPECT_NE(result.error().message.find("no index"), std::string::npos);
 }
 
-TEST_F(CorruptionFixture, ForcedSegmentBackendReportsNotFound) {
-  // No index.seg was built: forcing the segment backend reports instead of
-  // aborting, so a caller can fall back to the run-file backend.
-  const auto result = InvertedIndex::open(index_dir_, {IndexBackend::kSegment});
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, ErrorCode::kNotFound);
-}
-
 TEST_F(CorruptionFixture, IntactIndexStillOpens) {
   // Sanity: the fixture's artifacts are valid before any corruption.
+  EXPECT_TRUE(verify_index(index_dir_).ok);
+  ASSERT_TRUE(compact_index(index_dir_).has_value());
   const auto index = InvertedIndex::open(index_dir_, {}).value();
   EXPECT_GT(index.term_count(), 0u);
   EXPECT_TRUE(index.lookup("alpha").has_value());
+}
+
+/// Byte offsets into run_0.post (docs/INDEX_FORMAT.md): the 33-byte header
+/// ends with the table's entry count at 17, and the first table entry's
+/// blob offset sits 8 bytes into the table.
+constexpr std::size_t kRunTableCountAt = 17;
+constexpr std::size_t kRunFirstOffsetAt = 33 + 8;
+
+void overwrite(const std::string& path, std::size_t at, const void* bytes, std::size_t n) {
+  auto data = read_file(path);
+  ASSERT_LE(at + n, data.size());
+  std::memcpy(data.data() + at, bytes, n);
+  write_file(path, data);
+}
+
+/// compact_index and verify_index must refuse the damaged run directory
+/// with a structured error, not abort.
+void expect_run_damage_reported(const std::string& index_dir, ErrorCode code) {
+  const auto folded = compact_index(index_dir);
+  ASSERT_FALSE(folded.has_value());
+  EXPECT_EQ(folded.error().code, code) << folded.error().to_string();
+  EXPECT_FALSE(file_exists(IndexLayout::segment_path(index_dir)));
+  const auto report = verify_index(index_dir);
+  EXPECT_FALSE(report.ok);
+  ASSERT_FALSE(report.errors.empty());
+}
+
+TEST_F(CorruptionFixture, RunTableOffsetOutsideBlobAreaReportsCorrupt) {
+  const std::uint64_t offset = std::uint64_t{1} << 40;
+  overwrite(IndexLayout::run_path(index_dir_, 0), kRunFirstOffsetAt, &offset, sizeof offset);
+  expect_run_damage_reported(index_dir_, ErrorCode::kCorrupt);
+}
+
+TEST_F(CorruptionFixture, RunTableCountBeyondFileReportsCorrupt) {
+  const std::uint32_t count = 1000000;
+  overwrite(IndexLayout::run_path(index_dir_, 0), kRunTableCountAt, &count, sizeof count);
+  expect_run_damage_reported(index_dir_, ErrorCode::kCorrupt);
+}
+
+TEST_F(CorruptionFixture, FlippedRunBlobByteReportsCorrupt) {
+  flip_byte(IndexLayout::run_path(index_dir_, 0), 3);
+  expect_run_damage_reported(index_dir_, ErrorCode::kCorrupt);
+}
+
+TEST_F(CorruptionFixture, MissingRunFileReportsNotFound) {
+  std::filesystem::remove(IndexLayout::run_path(index_dir_, 0));
+  expect_run_damage_reported(index_dir_, ErrorCode::kNotFound);
 }
 
 // A live segment's doc map is read on every open of the directory; damage
@@ -166,7 +213,7 @@ std::string build_and_lookup_dir(const std::vector<Document>& docs, const TempDi
   const auto corpus = dir.path() + "/c.hdc";
   container_write(corpus, docs);
   IndexBuilder builder;
-  builder.parsers(1).cpu_indexers(1).gpus(1);
+  builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
   const auto out = dir.path() + "/index";
   builder.build({corpus}, out);
   return out;
@@ -240,7 +287,7 @@ TEST(DegenerateInput, ManyFilesFewDocs) {
     files.push_back(path);
   }
   IndexBuilder builder;
-  builder.parsers(3).cpu_indexers(1).gpus(1);
+  builder.parsers(3).cpu_indexers(1).gpus(1).emit_segment(true);
   const auto out = dir.path() + "/index";
   const auto report = builder.build(files, out);
   EXPECT_EQ(report.runs.size(), 12u);

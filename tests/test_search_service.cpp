@@ -151,20 +151,6 @@ TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRandomQueries) {
   }
 }
 
-TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveWithLooseBounds) {
-  // The run-file backend has no block index, so its bounds fall back to
-  // the loose idf·(k1+1) cap, which must change nothing but pruning
-  // effectiveness.
-  const auto index = InvertedIndex::open(index_dir_->path(), {IndexBackend::kRuns}).value();
-  ASSERT_FALSE(index.segment_backed());
-  EXPECT_FALSE(index.max_tf(batch_vocabulary(index).front()).has_value());
-  const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
-  const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
-  const Searcher& searcher = *searcher_ptr;
-  expect_identical_rankings(searcher, sample_queries(batch_vocabulary(index), 20, 2),
-                            10);
-}
-
 TEST_F(BatchServeFixture, ConjunctiveCursorsMatchDecodedIntersection) {
   // The cursor-driven intersection must agree with the boolean operators
   // over fully decoded lists — same docs, same summed tfs.

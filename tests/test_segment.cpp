@@ -1,6 +1,6 @@
 // Single-file segment tests: writer/reader round trip, run-file fold
-// equivalence (the segment must answer every query exactly like the legacy
-// backend), corruption detection (truncation, bit flips, bad footers must
+// equivalence (the segment must answer every query exactly like the run
+// files it was folded from), corruption detection (truncation, bit flips, bad footers must
 // die loudly out of SegmentReader::open, never decode garbage), and
 // lock-free concurrent readers sharing one SegmentReader.
 
@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -184,47 +186,96 @@ TEST_F(SegmentEquivalenceFixture, CompactionFoldsAllRuns) {
   EXPECT_GT(stats_.output_bytes, 0u);
 }
 
-TEST_F(SegmentEquivalenceFixture, AutoOpenPrefersSegment) {
-  const auto index = InvertedIndex::open(index_dir_, {}).value();
-  EXPECT_TRUE(index.segment_backed());
-  ASSERT_NE(index.segment(), nullptr);
-  EXPECT_EQ(index.run_count(), 0u);
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
-  EXPECT_FALSE(legacy.segment_backed());
-  EXPECT_EQ(legacy.segment(), nullptr);
-  EXPECT_EQ(legacy.run_count(), 3u);
-  EXPECT_EQ(index.term_count(), legacy.term_count());
-}
+/// The answers the run files themselves give, read without InvertedIndex:
+/// the dictionary's terms, each term's list fetched from every run in
+/// run-id order (the §III.F concatenation), then filtered by doc range or
+/// term prefix. The oracle every segment answer is judged against.
+class RunReference {
+ public:
+  explicit RunReference(const std::string& dir)
+      : entries_(dictionary_read(IndexLayout::dictionary_path(dir))) {
+    for (const auto& e : index_directory_read(IndexLayout::directory_path(dir))) {
+      runs_.push_back(RunFile::open(dir + "/" + e.file));
+    }
+    std::sort(runs_.begin(), runs_.end(),
+              [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
+  }
 
-TEST_F(SegmentEquivalenceFixture, EntriesRequiresRunBackend) {
-  const auto index = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  EXPECT_DEATH((void)index.entries(), "run-file backend");
+  [[nodiscard]] const std::vector<DictionaryEntry>& entries() const { return entries_; }
+
+  [[nodiscard]] std::optional<QueryPostings> lookup(std::string_view term,
+                                                    bool positional = false) const {
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), term,
+        [](const DictionaryEntry& e, std::string_view t) { return e.term < t; });
+    if (it == entries_.end() || it->term != term) return std::nullopt;
+    QueryPostings out;
+    for (const auto& run : runs_) {
+      run.fetch({it->shard, it->handle}, out.doc_ids, out.tfs,
+                positional ? &out.positions : nullptr);
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::optional<QueryPostings> lookup_range(std::string_view term,
+                                                          std::uint32_t lo,
+                                                          std::uint32_t hi) const {
+    const auto all = lookup(term);
+    if (!all) return std::nullopt;
+    QueryPostings out;
+    for (std::size_t i = 0; i < all->doc_ids.size(); ++i) {
+      if (all->doc_ids[i] < lo || all->doc_ids[i] > hi) continue;
+      out.doc_ids.push_back(all->doc_ids[i]);
+      out.tfs.push_back(all->tfs[i]);
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::vector<std::string> terms_with_prefix(std::string_view prefix) const {
+    std::vector<std::string> out;
+    for (const auto& e : entries_) {
+      if (std::string_view(e.term).starts_with(prefix)) out.push_back(e.term);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<DictionaryEntry> entries_;
+  std::vector<RunFile> runs_;
+};
+
+TEST_F(SegmentEquivalenceFixture, OpenServesTheSegment) {
+  const auto index = InvertedIndex::open(index_dir_, {}).value();
+  ASSERT_NE(index.segment(), nullptr);
+  EXPECT_EQ(index.segment()->path(), IndexLayout::segment_path(index_dir_));
+  EXPECT_EQ(index.term_count(), RunReference(index_dir_).entries().size());
 }
 
 TEST_F(SegmentEquivalenceFixture, LookupsMatchLegacyForEveryTerm) {
-  const auto segment = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  const auto segment = InvertedIndex::open(index_dir_, {}).value();
+  const RunReference legacy(index_dir_);
   std::size_t checked = 0;
-  legacy.for_each_term([&](std::string_view term) {
+  for (const auto& entry : legacy.entries()) {
+    const std::string_view term = entry.term;
     const auto a = legacy.lookup(term);
     const auto b = segment.lookup(term);
     ASSERT_TRUE(a.has_value() && b.has_value()) << term;
     EXPECT_EQ(a->doc_ids, b->doc_ids) << term;
     EXPECT_EQ(a->tfs, b->tfs) << term;
-    const auto ap = legacy.lookup_positional(term);
+    const auto ap = legacy.lookup(term, /*positional=*/true);
     const auto bp = segment.lookup_positional(term);
     ASSERT_TRUE(ap.has_value() && bp.has_value()) << term;
     EXPECT_EQ(ap->positions, bp->positions) << term;
     ++checked;
-  });
-  EXPECT_EQ(checked, legacy.term_count());
+  }
+  EXPECT_EQ(checked, segment.term_count());
   EXPECT_FALSE(segment.lookup("zzzznope").has_value());
   EXPECT_FALSE(legacy.lookup("zzzznope").has_value());
 }
 
 TEST_F(SegmentEquivalenceFixture, RangeLookupsMatchLegacy) {
-  const auto segment = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  const auto segment = InvertedIndex::open(index_dir_, {}).value();
+  const RunReference legacy(index_dir_);
   const std::string shared = normalize_term("shared");
   const struct {
     std::uint32_t lo, hi;
@@ -248,8 +299,8 @@ TEST_F(SegmentEquivalenceFixture, RangeLookupsMatchLegacy) {
 }
 
 TEST_F(SegmentEquivalenceFixture, PrefixScansMatchLegacy) {
-  const auto segment = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  const auto segment = InvertedIndex::open(index_dir_, {}).value();
+  const RunReference legacy(index_dir_);
   for (const std::string prefix : {"", "s", "file", "doc1", "zzz"}) {
     EXPECT_EQ(segment.terms_with_prefix(prefix), legacy.terms_with_prefix(prefix))
         << "prefix '" << prefix << "'";
@@ -257,7 +308,7 @@ TEST_F(SegmentEquivalenceFixture, PrefixScansMatchLegacy) {
 }
 
 TEST_F(SegmentEquivalenceFixture, ReadMetricsAccumulate) {
-  const auto index = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
+  const auto index = InvertedIndex::open(index_dir_, {}).value();
   (void)index.lookup(normalize_term("shared"));
   (void)index.lookup("zzzznope");
   const auto snap = index.metrics().snapshot();
@@ -581,17 +632,17 @@ TEST(ParallelFold, EmptyDictionary) {
 // ------------------------------------------------ concurrent readers
 
 TEST_F(SegmentEquivalenceFixture, ConcurrentReadersMatchLegacy) {
-  // Expected answers collected single-threaded from the legacy backend.
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  // Expected answers collected single-threaded from the run files.
+  const RunReference legacy(index_dir_);
   std::vector<std::string> terms;
-  legacy.for_each_term([&](std::string_view t) { terms.emplace_back(t); });
+  for (const auto& e : legacy.entries()) terms.push_back(e.term);
   std::vector<QueryPostings> expected;
   expected.reserve(terms.size());
   for (const auto& t : terms) expected.push_back(*legacy.lookup(t));
 
   // One shared reader, no locks: lookups, range lookups and prefix scans
-  // hammered from many threads must all agree with the legacy answers.
-  const auto index = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
+  // hammered from many threads must all agree with the run-file answers.
+  const auto index = InvertedIndex::open(index_dir_, {}).value();
   constexpr int kThreads = 8;
   constexpr int kIters = 150;
   std::atomic<int> failures{0};
