@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
   }
 
   // 4. Serve. The Searcher facade answers ranked (BM25, MaxScore-pruned)
-  //    and boolean requests, caching decoded postings and finished results
-  //    across calls; SearchService would put a thread pool and admission
+  //    and boolean requests, caching finished results across calls; SearchService would put a thread pool and admission
   //    control in front of it (docs/SERVING.md).
   const hetindex::DocMap docs =
       hetindex::DocMap::open(hetindex::doc_map_path(work_dir + "/index"));

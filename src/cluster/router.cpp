@@ -4,8 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "live/tombstones.hpp"
-#include "postings/boolean_ops.hpp"
+#include "search/boolean_eval.hpp"
 #include "search/topk.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -66,97 +65,36 @@ void merge_hits(std::vector<ScoredDoc>& hits, std::size_t k) {
   if (hits.size() > k) hits.resize(k);
 }
 
-/// Central evaluator of the term-routed strategy: the Searcher's recursive
-/// decoded evaluator re-expressed over owner-fetched postings (same
-/// postings_and/or folds, same phrase_join/near_join verification), so
-/// central answers are bit-identical to a single-node build of the union
-/// corpus. One extra state an in-process Searcher never sees: a leaf whose
-/// owner shard never answered. Such a leaf evaluates to "unavailable"
-/// (nullopt) and is skipped where its fold allows — the identity in an
-/// AND (the historical weakened-intersection partial), nothing in an OR,
-/// the whole constraint in a phrase/NEAR (an unverifiable constraint
-/// cannot admit docs) — and the caller flags the response kShardPartial.
-struct RoutedEval {
-  const std::unordered_map<std::string, std::shared_ptr<const QueryPostings>>& fetched;
-  const Deadline& deadline;
-  bool deadline_cut = false;
-
-  Expected<std::optional<QueryPostings>> eval(const QueryNode& node) {
-    switch (node.op) {
-      case QueryOp::kTerm: {
-        const auto it = fetched.find(node.term);
-        if (it == fetched.end()) return std::optional<QueryPostings>{};  // owner down
-        QueryPostings out;  // null value = known-absent term: empty list
-        if (it->second != nullptr) {
-          out.doc_ids = it->second->doc_ids;
-          out.tfs = it->second->tfs;
-        }
-        return std::optional<QueryPostings>(std::move(out));
+/// The term-routed tree with every leaf whose owner never answered pruned
+/// away: an unavailable leaf drops out of its AND/OR/bag (weakening the
+/// intersection, narrowing the union), a PHRASE/NEAR with an unavailable
+/// term is unavailable whole (an unverifiable constraint admits nothing),
+/// and a group left with no child is unavailable. nullopt: the whole tree
+/// is unavailable.
+std::optional<QueryNode> prune_unavailable(
+    const QueryNode& node,
+    const std::unordered_map<std::string, std::shared_ptr<const QueryPostings>>& fetched) {
+  switch (node.op) {
+    case QueryOp::kTerm:
+      if (!fetched.contains(node.term)) return std::nullopt;
+      return node;
+    case QueryOp::kPhrase:
+    case QueryOp::kNear:
+      for (const auto& term : node.terms) {
+        if (!fetched.contains(term)) return std::nullopt;
       }
-      case QueryOp::kBag:
-      case QueryOp::kOr: {
-        std::optional<QueryPostings> acc;
-        for (const auto& child : node.children) {
-          if (past(deadline)) {  // partial union: a valid subset, flagged
-            deadline_cut = true;
-            break;
-          }
-          auto part = eval(child);
-          if (!part.has_value()) return part.error();
-          if (!part.value()) continue;  // unavailable: contributes nothing
-          acc = acc ? postings_or(*acc, *part.value()) : std::move(*part.value());
-        }
-        return acc;  // nullopt when every child was unavailable
+      return node;
+    default: {
+      QueryNode kept;
+      kept.op = node.op;
+      for (const auto& child : node.children) {
+        if (auto c = prune_unavailable(child, fetched)) kept.children.push_back(std::move(*c));
       }
-      case QueryOp::kAnd: {
-        std::optional<QueryPostings> acc;
-        for (const auto& child : node.children) {
-          if (past(deadline)) {
-            // A prefix intersection is a SUPERSET of the truth — the one
-            // degradation shape that would hand out wrong docs. Return
-            // nothing instead (same rule as the single-node evaluator).
-            if (acc) {
-              acc->doc_ids.clear();
-              acc->tfs.clear();
-            }
-            deadline_cut = true;
-            break;
-          }
-          auto part = eval(child);
-          if (!part.has_value()) return part.error();
-          if (!part.value()) continue;  // unavailable: skipped, intersection weakened
-          acc = acc ? postings_and(*acc, *part.value()) : std::move(*part.value());
-          if (acc->doc_ids.empty()) break;  // settled: no doc can re-enter
-        }
-        return acc;
-      }
-      case QueryOp::kPhrase:
-      case QueryOp::kNear: {
-        std::vector<const QueryPostings*> refs;
-        refs.reserve(node.terms.size());
-        bool absent = false;
-        for (const auto& term : node.terms) {
-          const auto it = fetched.find(term);
-          if (it == fetched.end()) return std::optional<QueryPostings>{};
-          if (it->second == nullptr) {
-            absent = true;  // known-absent term: the constraint matches nothing
-            break;
-          }
-          if (it->second->positions.empty() && !it->second->doc_ids.empty()) {
-            return Error{ErrorCode::kInvalidArgument,
-                         "phrase/NEAR query requires a positional index"};
-          }
-          refs.push_back(it->second.get());
-        }
-        if (absent) return std::optional<QueryPostings>(QueryPostings{});
-        return std::optional<QueryPostings>(node.op == QueryOp::kPhrase
-                                                ? phrase_join(refs)
-                                                : near_join(refs, node.window));
-      }
+      if (kept.children.empty()) return std::nullopt;
+      return kept;
     }
-    return std::optional<QueryPostings>(QueryPostings{});
   }
-};
+}
 
 }  // namespace
 
@@ -399,7 +337,7 @@ Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& requ
   // Fetch each distinct AST leaf's postings from its owner shard.
   // Duplicated leaves score twice (single-node semantics) but fetch once;
   // lists arrive with positions, so phrase/NEAR constraints verify
-  // centrally on the same decoded data a single node would use.
+  // centrally.
   std::unordered_map<std::string, std::shared_ptr<const QueryPostings>> fetched;
   std::vector<bool> owner_consulted(shards_.size(), false);
   std::vector<bool> owner_answered(shards_.size(), false);
@@ -481,39 +419,32 @@ Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& requ
       lengths.add_range(snap->memtable()->doc_base(), snap->memtable()->doc_count(),
                         snap->memtable());
     }
-    std::unordered_map<std::uint32_t, double> scores;
-    bool deadline_cut = false;
+    std::vector<ExhaustiveTermList> lists;
     for (std::size_t t = 0; t < terms.size(); ++t) {
       if (!term_ok[t]) continue;  // owner down: term skipped, kShardPartial
-      if (past(deadline)) {
-        deadline_cut = true;
-        break;
-      }
       const auto& postings = fetched[terms[t]];
       if (postings == nullptr || postings->doc_ids.empty()) continue;
-      const double idf = bm25_idf(postings->doc_ids.size(), n_docs);
-      for (std::size_t i = 0; i < postings->doc_ids.size(); ++i) {
-        const std::uint32_t doc = postings->doc_ids[i];
-        if (excluded != nullptr && excluded->contains(doc)) continue;
-        const double tf = postings->tfs[i];
-        const double dl = lengths.token_count(doc);
-        scores[doc] += bm25_contribution(idf, tf, dl, avgdl, request.bm25);
-      }
+      lists.push_back({postings.get(), bm25_idf(postings->doc_ids.size(), n_docs)});
     }
-    response.hits.reserve(scores.size());
-    for (const auto& [doc, score] : scores) response.hits.push_back({doc, score});
-    merge_hits(response.hits, request.k);
-    if (deadline_cut) response.degradation = Degradation::kDeadlinePartial;
-  } else {
-    // Every other root — AND/OR trees, phrase, NEAR — runs the recursive
-    // central evaluator (tf semantics of query_ast.hpp) and ranks by
-    // (tf desc, doc id asc), exactly like the single-node decoded path.
-    // Tombstones filtered at rank, like the single-node candidate filter.
-    RoutedEval ev{fetched, deadline};
-    auto acc = ev.eval(root);
-    if (!acc.has_value()) return acc.error();
-    if (acc.value()) response.hits = rank_by_tf(*acc.value(), request.k, excluded);
-    if (ev.deadline_cut) response.degradation = Degradation::kDeadlinePartial;
+    auto topk = exhaustive_topk(lists, request.k, request.bm25, lengths, avgdl, deadline,
+                                excluded);
+    response.hits = std::move(topk.hits);
+    if (topk.degraded) response.degradation = Degradation::kDeadlinePartial;
+  } else if (const auto pruned = prune_unavailable(root, fetched)) {
+    // Every other root — AND/OR trees, phrase, NEAR — runs the single-node
+    // cursor-tree evaluator over decoded cursors on the fetched lists (they
+    // carry positions, so phrase/NEAR verify here) and ranks by (tf desc,
+    // doc id asc). An unavailable root has no hits.
+    BooleanLeaves leaves;
+    leaves.open = [&fetched](const std::string& term,
+                             bool /*with_positions*/) -> std::unique_ptr<PostingsCursor> {
+      const auto& postings = fetched.at(term);
+      return postings != nullptr ? make_decoded_cursor(postings) : nullptr;
+    };
+    auto matched = evaluate_boolean(*pruned, leaves, excluded, deadline);
+    if (!matched.has_value()) return matched.error();
+    response.hits = rank_by_tf(matched->matches, request.k);
+    if (matched->degraded) response.degradation = Degradation::kDeadlinePartial;
   }
   response.timings.score_seconds = score_timer.seconds();
   response.timings.total_seconds = total_timer.seconds();

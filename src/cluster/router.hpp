@@ -23,12 +23,15 @@
 /// Term-partitioned clusters route differently: each query leaf term's
 /// postings are fetched from the shard owning hash(term) — one whole-list
 /// fetch per distinct AST leaf, in Query::collect_terms() order — and the
-/// router evaluates centrally: BM25 in leaf order for a ranked root
-/// (per-shard partial score sums would not re-add bit-identically, whole
-/// postings lists do), and the recursive AST evaluator for boolean/
-/// positional roots. Fetched lists carry positions, so phrase/NEAR
-/// verification runs at the router with the same phrase_join/near_join
-/// primitives the single-node decoded evaluator uses.
+/// router evaluates centrally: the exhaustive BM25 scorer in leaf order
+/// for a ranked root (per-shard partial score sums would not re-add
+/// bit-identically, whole postings lists do), and the single-node
+/// cursor-tree evaluator (search/boolean_eval.hpp) over decoded cursors on
+/// the fetched lists for boolean/positional roots. Fetched lists carry
+/// positions, so phrase/NEAR verification runs at the router. A leaf whose
+/// owner never answered is pruned first: it drops out of its AND/OR/bag, a
+/// PHRASE/NEAR holding it is unavailable whole, a group left empty is
+/// unavailable, and an unavailable root has no hits (kShardPartial).
 ///
 /// Document/block partitions need no special phrase handling: every doc's
 /// postings (and positions) live whole on its shard, so each shard

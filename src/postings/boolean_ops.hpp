@@ -27,10 +27,9 @@ QueryPostings postings_and_not(const QueryPostings& a, const QueryPostings& b);
 QueryPostings postings_and_galloping(const QueryPostings& a, const QueryPostings& b);
 
 /// Per-term positions of one document, in query order: entry t holds the
-/// ascending in-doc positions of term t (as current_positions() or a
-/// positional lookup slice yields them). The shared currency of the
-/// phrase/NEAR verifiers, so the single-node cursor path and the cluster's
-/// central verification count matches with the same code.
+/// ascending in-doc positions of term t (as current_positions() yields
+/// them). What the cursor-tree evaluator (search/boolean_eval.hpp) hands
+/// the phrase/NEAR verifiers below for each candidate document.
 using DocTermPositions = std::vector<std::vector<std::uint32_t>>;
 
 /// Number of phrase starts in one document: positions p of term 0 such
@@ -41,20 +40,5 @@ std::uint32_t phrase_match_count(const DocTermPositions& term_positions);
 /// (the anchor term) such that every other term has an occurrence within
 /// distance `window` of p, in either direction. The tf of a NEAR match.
 std::uint32_t near_match_count(const DocTermPositions& term_positions, std::uint32_t window);
-
-/// Docs present in every positional list that contain the exact phrase
-/// (lists in phrase order); tf = phrase_match_count. Lists must carry
-/// positions for every posting.
-QueryPostings phrase_join(const std::vector<const QueryPostings*>& lists);
-
-/// Docs present in every positional list where each term occurs within
-/// `window` of an occurrence of the first; tf = near_match_count.
-QueryPostings near_join(const std::vector<const QueryPostings*>& lists, std::uint32_t window);
-
-/// Phrase query over a positional index: documents where the normalized
-/// terms appear at consecutive token positions. Returns nullopt when any
-/// term is absent or the index carries no positions.
-std::optional<QueryPostings> phrase_query(const InvertedIndex& index,
-                                          const std::vector<std::string>& terms);
 
 }  // namespace hetindex

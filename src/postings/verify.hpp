@@ -36,7 +36,9 @@ struct VerifyReport {
 ///    entry min/max match the decoded lists;
 ///  - every dictionary term has at least one posting somewhere.
 /// A dictionary, directory or run file that fails to load is reported as an
-/// error instead of aborting.
+/// error instead of aborting. After a run fails to load, the terms with no
+/// postings in the runs that did load are reported as one count, not one
+/// error per term.
 VerifyReport verify_index(const std::string& dir);
 
 }  // namespace hetindex

@@ -10,12 +10,6 @@
 ///   collection stats   N and avgdl computed once per snapshot (guarded by
 ///                      a snapshot-id check, not per query — the
 ///                      search_stats_recomputes_total counter proves it)
-///   decoded postings   sharded LRU keyed on (snapshot id, term) — used by
-///                      the decoded modes (exhaustive ranked, disjunctive);
-///                      the cursor modes (pruned ranked, conjunctive) open
-///                      lazy block cursors instead, because caching a fully
-///                      decoded list is exactly the work block-max skipping
-///                      exists to avoid
 ///   finished results   sharded LRU keyed on (snapshot id, normalized
 ///                      query); never stores degraded responses
 ///
@@ -24,12 +18,17 @@
 /// (`batch`, `snapshot`, `live`). The former constructor overloads (and
 /// their deprecation shims) are gone; open() is the only entry point.
 ///
+/// Postings are never cached: both engines — Block-Max MaxScore for ranked
+/// roots, the cursor-tree evaluator of boolean_eval.hpp for every other
+/// root — open lazy block cursors, and caching a decoded list is exactly
+/// the work block skipping exists to avoid.
+///
 /// Snapshot changes invalidate nothing explicitly: keys embed the snapshot
 /// id, so stale entries simply stop being reachable and age out.
 ///
 /// Thread safety: search() is const and safe to call concurrently from any
 /// number of threads — SearchService runs a pool of them against one
-/// Searcher. The Searcher is immovable (instruments and caches are
+/// Searcher. The Searcher is immovable (instruments and the cache are
 /// address-stable for the service's lifetime).
 
 #include <chrono>
@@ -84,9 +83,8 @@ class SearchSource {
 };
 
 struct SearcherOptions {
-  std::size_t postings_cache_entries = 4096;  ///< decoded lists retained
-  std::size_t result_cache_entries = 1024;    ///< finished queries retained
-  std::size_t cache_shards = 8;               ///< lock granularity of both caches
+  std::size_t result_cache_entries = 1024;  ///< finished queries retained
+  std::size_t cache_shards = 8;             ///< lock granularity of the result cache
   /// Test AND/PHRASE/NEAR candidates against per-list Bloom chains (`.blm`
   /// sidecars) before seeking follower cursors. Filters are one-way exact,
   /// so toggling this never changes results — only decode work (the
@@ -145,9 +143,6 @@ class Searcher : public SearchBackend {
 
   [[nodiscard]] std::shared_ptr<const Stats> stats_for(
       const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id) const;
-  [[nodiscard]] std::shared_ptr<const QueryPostings> fetch_postings(
-      const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id,
-      const std::string& term) const;
   /// The term's largest tf over the bound view; the term must be in it
   /// (the caller holds a non-null cursor over it).
   [[nodiscard]] std::uint32_t term_max_tf(const std::shared_ptr<const LiveSnapshot>& snap,
@@ -155,24 +150,6 @@ class Searcher : public SearchBackend {
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_term_cursor(
       const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term,
       bool with_positions = false) const;
-  /// The term's Bloom rejection chain over the bound view; empty (never
-  /// rejects) when filters are disabled by options or absent on disk.
-  [[nodiscard]] BloomChain term_bloom_chain(
-      const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
-  /// Positional lookup over the bound view (uncached — positional lists
-  /// are only pulled for the phrase/NEAR fallback evaluator).
-  [[nodiscard]] std::optional<QueryPostings> lookup_positional(
-      const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
-  /// Recursive decoded evaluator for nested trees (see searcher.cpp).
-  [[nodiscard]] Expected<QueryPostings> eval_node(
-      const QueryNode& node, const std::shared_ptr<const LiveSnapshot>& snap,
-      std::uint64_t snapshot_id,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      bool& degraded) const;
-  [[nodiscard]] Expected<QueryPostings> eval_conjunction(
-      const QueryNode& root, const std::shared_ptr<const LiveSnapshot>& snap,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      const TombstoneSet* excluded, bool& degraded) const;
 
   SearcherOptions options_;
 
@@ -187,10 +164,6 @@ class Searcher : public SearchBackend {
   mutable std::shared_mutex stats_mu_;
   mutable std::shared_ptr<const Stats> stats_;  // current snapshot's stats
 
-  /// Values are shared_ptrs to immutable data; a null postings pointer is
-  /// a cached "term absent" verdict (negative caching).
-  mutable ShardedLruCache<std::string, std::shared_ptr<const QueryPostings>>
-      postings_cache_;
   mutable ShardedLruCache<std::string, std::shared_ptr<const std::vector<ScoredDoc>>>
       result_cache_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <unordered_map>
 
 #include "live/memtable.hpp"
 #include "live/tombstones.hpp"
@@ -10,20 +11,54 @@
 
 namespace hetindex {
 
-std::vector<ScoredDoc> rank_by_tf(const QueryPostings& postings, std::size_t k,
-                                  const TombstoneSet* excluded) {
-  std::vector<ScoredDoc> hits;
-  hits.reserve(postings.doc_ids.size());
-  for (std::size_t i = 0; i < postings.doc_ids.size(); ++i) {
-    if (excluded != nullptr && excluded->contains(postings.doc_ids[i])) continue;
-    hits.push_back({postings.doc_ids[i], static_cast<double>(postings.tfs[i])});
-  }
+namespace {
+
+/// Score desc, doc id asc, at most k.
+void sort_and_cut(std::vector<ScoredDoc>& hits, std::size_t k) {
   std::sort(hits.begin(), hits.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.doc_id < b.doc_id;
   });
   if (hits.size() > k) hits.resize(k);
+}
+
+}  // namespace
+
+std::vector<ScoredDoc> rank_by_tf(const QueryPostings& postings, std::size_t k) {
+  std::vector<ScoredDoc> hits;
+  hits.reserve(postings.doc_ids.size());
+  for (std::size_t i = 0; i < postings.doc_ids.size(); ++i) {
+    hits.push_back({postings.doc_ids[i], static_cast<double>(postings.tfs[i])});
+  }
+  sort_and_cut(hits, k);
   return hits;
+}
+
+TopkResult exhaustive_topk(const std::vector<ExhaustiveTermList>& lists, std::size_t k,
+                           const Bm25Params& params, const DocLengthIndex& lengths,
+                           double avgdl,
+                           std::optional<std::chrono::steady_clock::time_point> deadline,
+                           const TombstoneSet* excluded) {
+  TopkResult result;
+  std::unordered_map<std::uint32_t, double> scores;
+  for (const ExhaustiveTermList& list : lists) {
+    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
+      result.degraded = true;  // coarse but exact: whole lists only
+      break;
+    }
+    const QueryPostings& postings = *list.postings;
+    for (std::size_t i = 0; i < postings.doc_ids.size(); ++i) {
+      const std::uint32_t doc = postings.doc_ids[i];
+      if (excluded != nullptr && excluded->contains(doc)) continue;
+      scores[doc] += bm25_contribution(list.idf, postings.tfs[i], lengths.token_count(doc),
+                                       avgdl, params);
+    }
+  }
+  result.hits.reserve(scores.size());
+  for (const auto& [doc, score] : scores) result.hits.push_back({doc, score});
+  result.docs_scored = scores.size();
+  sort_and_cut(result.hits, k);
+  return result;
 }
 
 namespace {

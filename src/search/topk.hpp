@@ -84,12 +84,10 @@ inline double bm25_contribution(double idf, double tf, double dl, double avgdl,
 double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& params);
 
 /// Top-k by summed tf (the boolean modes' relevance signal), doc id
-/// breaking ties. `excluded` drops tombstoned docs (live-tier deletes).
-/// Shared by the Searcher's conjunctive/disjunctive modes and the
-/// ShardRouter's term-routed boolean scoring — bit-identity between the
-/// two depends on ranking through the same code.
-std::vector<ScoredDoc> rank_by_tf(const QueryPostings& postings, std::size_t k,
-                                  const TombstoneSet* excluded);
+/// breaking ties. Shared by the Searcher and the ShardRouter's term-routed
+/// evaluation — bit-identity between the two depends on ranking through
+/// the same code.
+std::vector<ScoredDoc> rank_by_tf(const QueryPostings& postings, std::size_t k);
 
 struct TopkResult {
   std::vector<ScoredDoc> hits;  ///< score desc, doc id asc, at most k
@@ -97,6 +95,26 @@ struct TopkResult {
   std::uint64_t docs_scored = 0;
   std::uint64_t blocks_skipped = 0;  ///< postings blocks passed without decoding
 };
+
+/// One decoded list of the exhaustive scorer and the idf it scores at (the
+/// local df's, or a router-injected global one).
+struct ExhaustiveTermList {
+  const QueryPostings* postings = nullptr;
+  double idf = 0;
+};
+
+/// The exhaustive BM25 scorer, the reference every pruned result must
+/// match bit for bit: contributions accumulate per document in list order
+/// (tombstoned docs dropped), then hits sort by score desc, doc id asc, cut
+/// to k. A deadline is checked between lists; when it expires the scores
+/// cover a prefix of the lists and the result is flagged degraded. Shared
+/// by the Searcher's `exhaustive` requests and the term-routed cluster's
+/// central ranked scoring.
+TopkResult exhaustive_topk(const std::vector<ExhaustiveTermList>& lists, std::size_t k,
+                           const Bm25Params& params, const DocLengthIndex& lengths,
+                           double avgdl,
+                           std::optional<std::chrono::steady_clock::time_point> deadline,
+                           const TombstoneSet* excluded);
 
 /// Runs Block-Max MaxScore over the term cursors. `deadline` (optional)
 /// degrades the scan to the best candidates found so far when it expires.

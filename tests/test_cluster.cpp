@@ -5,7 +5,8 @@
 // executors, across interleaved flushes, deletes, updates, memtable-resident
 // documents and full compaction. Plus the failure half of the contract:
 // replica failover behind an unchanged answer, whole-shard outages degrading
-// to well-formed kShardPartial responses, shedding classified kShedPartial
+// to well-formed kShardPartial responses, a term owner's outage pruning the
+// unavailable leaves out of AND/OR/PHRASE shapes, shedding classified kShedPartial
 // with demotion, a spent fan-out slice demoting no replica that never ran,
 // replica calls resolving on the caller's thread, reopen recovery of the
 // global id sequence from shard widths, and CLUSTER meta validation. The final test races router queries
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <optional>
 #include <random>
@@ -475,6 +477,112 @@ TEST(ClusterFailover, WholeShardOutageDegradesToShardPartialWithinDeadline) {
   const auto refused = strict_router->search(request);
   ASSERT_FALSE(refused.has_value());
   EXPECT_EQ(refused.error().code, ErrorCode::kUnavailable);
+}
+
+/// The term strategy's answer with some owners down, as a test-local
+/// rewrite of the query: an unavailable leaf drops out of its AND/OR/bag,
+/// a PHRASE/NEAR holding one is unavailable whole, and a group left with
+/// no child is unavailable. nullopt: the whole query is unavailable.
+std::optional<QueryNode> prune_down_terms(const QueryNode& node,
+                                          const std::function<bool(const std::string&)>& down) {
+  switch (node.op) {
+    case QueryOp::kTerm:
+      if (down(node.term)) return std::nullopt;
+      return node;
+    case QueryOp::kPhrase:
+    case QueryOp::kNear:
+      for (const auto& term : node.terms) {
+        if (down(term)) return std::nullopt;
+      }
+      return node;
+    default: {
+      QueryNode kept = node;
+      kept.children.clear();
+      for (const auto& child : node.children) {
+        if (auto c = prune_down_terms(child, down)) kept.children.push_back(std::move(*c));
+      }
+      if (kept.children.empty()) return std::nullopt;
+      return kept;
+    }
+  }
+}
+
+TEST(ClusterFailover, TermOwnerOutagePrunesUnavailableLeaves) {
+  auto stack = make_twins(PartitionStrategy::kTerm, 3, 1, 0x7E2D, 10000, /*positional=*/true);
+  const auto router = stack.cluster->make_router();
+  const auto oracle =
+      Searcher::open(SearchSource::live(
+                         [w = &*stack.unioned] { return w->snapshot(); }))
+          .value();
+  const std::uint32_t down_shard = 0;
+  const Partitioner& part = stack.cluster->partitioner();
+  const std::function<bool(const std::string&)> down = [&part,
+                                                        down_shard](const std::string& term) {
+    return part.term_shard(term) == down_shard;
+  };
+
+  // The most frequent terms, so every shape has documents to return: x
+  // lives on the shard that goes down, a and b on shards that answer.
+  std::vector<std::pair<std::uint64_t, std::string>> by_df;
+  const auto snap = stack.unioned->snapshot();
+  for (const auto& term : stack.vocab) {
+    by_df.emplace_back(snap->open_cursor(term)->size(), term);
+  }
+  std::sort(by_df.begin(), by_df.end(), [](const auto& l, const auto& r) {
+    if (l.first != r.first) return l.first > r.first;
+    return l.second < r.second;
+  });
+  std::vector<std::string> up;
+  std::string x;
+  for (const auto& [df, term] : by_df) {
+    if (down(term)) {
+      if (x.empty()) x = term;
+    } else if (up.size() < 2) {
+      up.push_back(term);
+    }
+  }
+  ASSERT_FALSE(x.empty());
+  ASSERT_EQ(up.size(), 2u);
+  const std::string& a = up[0];
+  const std::string& b = up[1];
+  stack.cluster->shard(down_shard).replica(0).set_down(true);
+
+  const std::vector<Query> queries = {
+      Query::and_of({Query::term(a), Query::term(x)}),
+      Query::or_of({Query::term(a), Query::term(x)}),
+      Query::phrase({a, x}),
+      Query::and_of({Query::term(b), Query::phrase({a, x})}),
+      Query::and_of({Query::or_of({Query::term(a), Query::term(x)}), Query::term(b)}),
+  };
+  std::size_t expected_hits = 0;
+  for (const Query& q : queries) {
+    QueryRequest request;
+    request.query = q;
+    request.k = 1000;
+    request.use_result_cache = false;
+    const auto got = router->search(request);
+    ASSERT_TRUE(got.has_value()) << q.to_string() << ": " << got.error().to_string();
+    EXPECT_EQ(got.value().degradation, Degradation::kShardPartial) << q.to_string();
+    EXPECT_LT(got.value().shards_answered, got.value().shards_total) << q.to_string();
+
+    const auto pruned = prune_down_terms(q.root(), down);
+    if (!pruned.has_value()) {
+      EXPECT_TRUE(got.value().hits.empty()) << q.to_string();
+      continue;
+    }
+    request.query = Query::from_node(*pruned);
+    const auto want = oracle->search(request);
+    ASSERT_TRUE(want.has_value()) << want.error().to_string();
+    ASSERT_EQ(got.value().hits.size(), want.value().hits.size()) << q.to_string();
+    for (std::size_t r = 0; r < want.value().hits.size(); ++r) {
+      EXPECT_EQ(got.value().hits[r].doc_id, want.value().hits[r].doc_id)
+          << q.to_string() << " rank " << r;
+      EXPECT_EQ(got.value().hits[r].score, want.value().hits[r].score)
+          << q.to_string() << " rank " << r;
+    }
+    expected_hits += want.value().hits.size();
+  }
+  EXPECT_GT(expected_hits, 0u);
 }
 
 TEST(ClusterFailover, SheddingClassifiesShedPartialAndDemotes) {

@@ -1,10 +1,11 @@
 // Tests for positional postings: codec round trips, pipeline end-to-end
-// with record_positions, phrase queries, and CPU-vs-GPU parity of the
-// positional path.
+// with record_positions, phrase queries through the Searcher, and
+// CPU-vs-GPU parity of the positional path.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "codec/posting_codecs.hpp"
@@ -12,9 +13,9 @@
 #include "corpus/container.hpp"
 #include "index/indexer.hpp"
 #include "parse/parser.hpp"
-#include "postings/boolean_ops.hpp"
 #include "postings/merger.hpp"
 #include "postings/run_file.hpp"
+#include "search/searcher.hpp"
 #include "util/rng.hpp"
 
 namespace hetindex {
@@ -127,43 +128,58 @@ TEST_F(PositionalIndexFixture, LookupPositionalReturnsPositions) {
   EXPECT_EQ(p->positions[0], 1u);
 }
 
+/// Phrase matches through the Searcher: doc id → tf (the phrase start
+/// count), whatever order the ranking returned them in.
+std::map<std::uint32_t, std::uint32_t> phrase_hits(const InvertedIndex& index,
+                                                   std::vector<std::string> terms) {
+  const auto searcher = Searcher::open(SearchSource::batch(index)).value();
+  QueryRequest request;
+  request.query = Query::phrase(std::move(terms));
+  request.use_result_cache = false;
+  const auto response = searcher->search(request);
+  EXPECT_TRUE(response.has_value()) << response.error().to_string();
+  std::map<std::uint32_t, std::uint32_t> out;
+  if (!response.has_value()) return out;
+  for (const auto& hit : response.value().hits) {
+    out[hit.doc_id] = static_cast<std::uint32_t>(hit.score);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> doc_ids_of(const std::map<std::uint32_t, std::uint32_t>& hits) {
+  std::vector<std::uint32_t> ids;
+  for (const auto& [doc, tf] : hits) ids.push_back(doc);
+  return ids;
+}
+
 TEST_F(PositionalIndexFixture, PhraseQueryRequiresAdjacency) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
-  const std::vector<std::string> phrase = {normalize_term("inverted"),
-                                           normalize_term("file")};
-  const auto hits = phrase_query(index, phrase);
-  ASSERT_TRUE(hits.has_value());
+  const auto hits = phrase_hits(index, {normalize_term("inverted"), normalize_term("file")});
   // Docs 0, 1, 4 contain "inverted file" adjacently; doc 2 has the words
   // reversed; doc 3 has them adjacent too ("the inverted file wins" →
   // positions 1,2).
-  EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{0, 1, 3, 4}));
+  EXPECT_EQ(doc_ids_of(hits), (std::vector<std::uint32_t>{0, 1, 3, 4}));
 }
 
 TEST_F(PositionalIndexFixture, ThreeTermPhrase) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
-  const std::vector<std::string> phrase = {normalize_term("inverted"),
-                                           normalize_term("file"),
-                                           normalize_term("construction")};
-  const auto hits = phrase_query(index, phrase);
-  ASSERT_TRUE(hits.has_value());
-  EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{0, 1}));
+  const auto hits = phrase_hits(index, {normalize_term("inverted"), normalize_term("file"),
+                                        normalize_term("construction")});
+  EXPECT_EQ(doc_ids_of(hits), (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST_F(PositionalIndexFixture, PhraseQueryMissingTerm) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
-  EXPECT_FALSE(phrase_query(index, {"nonexistentterm"}).has_value());
+  EXPECT_TRUE(phrase_hits(index, {"nonexistentterm", normalize_term("inverted")}).empty());
 }
 
 TEST_F(PositionalIndexFixture, RepeatedTermCountsPhraseOccurrences) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
   // Doc 4: "inverted inverted file file" — "inverted file" matches once
   // (position 1 → 2).
-  const auto hits = phrase_query(
-      index, {normalize_term("inverted"), normalize_term("file")});
-  ASSERT_TRUE(hits.has_value());
-  const auto it = std::find(hits->doc_ids.begin(), hits->doc_ids.end(), 4u);
-  ASSERT_NE(it, hits->doc_ids.end());
-  EXPECT_EQ(hits->tfs[static_cast<std::size_t>(it - hits->doc_ids.begin())], 1u);
+  const auto hits = phrase_hits(index, {normalize_term("inverted"), normalize_term("file")});
+  ASSERT_TRUE(hits.contains(4u));
+  EXPECT_EQ(hits.at(4u), 1u);
 }
 
 TEST(PositionalParity, GpuMatchesCpuWithPositions) {

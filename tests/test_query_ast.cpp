@@ -1,9 +1,11 @@
 // Query AST and operator tests (docs/QUERIES.md): grammar and precedence,
 // canonical-form round trips through parse_query/to_string, randomized
-// phrase/NEAR equivalence against a naive positional-join oracle over
-// batch and live indexes (memtable-resident docs, deletes, and
-// post-compaction state), and Bloom-filter on/off bit-identity with the
-// search_blooms_rejected_total counter. The TSan and ASan tier-1 legs both
+// phrase/NEAR equivalence against a naive positional-join oracle and
+// random nested AND/OR/bag/PHRASE/NEAR trees against a set-based oracle,
+// both over batch and live indexes (memtable-resident docs, deletes, and
+// post-compaction state), nested trees skipping postings blocks, and
+// Bloom-filter on/off bit-identity with the search_blooms_rejected_total
+// counter. The TSan and ASan tier-1 legs both
 // run this file.
 
 #include <gtest/gtest.h>
@@ -194,22 +196,23 @@ std::map<std::uint32_t, std::vector<std::uint32_t>> positions_by_doc(
   return out;
 }
 
+/// Per-document tf of a query node, as the oracles below compute it.
+using DocTfs = std::map<std::uint32_t, std::uint32_t>;
+
 /// The reference implementation: an O(docs × positions²) scan that shares
 /// no code with phrase_match_count/near_match_count or the cursor engine.
 /// `lists` in term order; a missing term empties the result. tf = phrase
 /// start count, or NEAR anchor count over the FIRST term's occurrences.
-std::vector<ScoredDoc> naive_positional(
-    const std::vector<std::optional<QueryPostings>>& lists, bool phrase,
-    std::uint32_t window, std::size_t k, const TombstoneSet* dead) {
-  std::vector<ScoredDoc> hits;
+DocTfs naive_positional_tfs(const std::vector<std::optional<QueryPostings>>& lists,
+                            bool phrase, std::uint32_t window) {
+  DocTfs out;
   for (const auto& list : lists) {
-    if (!list.has_value()) return hits;
+    if (!list.has_value()) return out;
   }
   std::vector<std::map<std::uint32_t, std::vector<std::uint32_t>>> by_doc;
   by_doc.reserve(lists.size());
   for (const auto& list : lists) by_doc.push_back(positions_by_doc(*list));
   for (const auto& [doc, anchors] : by_doc[0]) {
-    if (dead != nullptr && dead->contains(doc)) continue;
     bool everywhere = true;
     for (std::size_t t = 1; t < by_doc.size() && everywhere; ++t) {
       everywhere = by_doc[t].count(doc) != 0;
@@ -236,7 +239,18 @@ std::vector<ScoredDoc> naive_positional(
       }
       if (match) ++tf;
     }
-    if (tf > 0) hits.push_back({doc, static_cast<double>(tf)});
+    if (tf > 0) out[doc] = tf;
+  }
+  return out;
+}
+
+/// Live docs ranked by (tf desc, doc id asc), cut to k.
+std::vector<ScoredDoc> rank_naive(const DocTfs& tfs, std::size_t k,
+                                  const TombstoneSet* dead) {
+  std::vector<ScoredDoc> hits;
+  for (const auto& [doc, tf] : tfs) {
+    if (dead != nullptr && dead->contains(doc)) continue;
+    hits.push_back({doc, static_cast<double>(tf)});
   }
   std::sort(hits.begin(), hits.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
     if (a.score != b.score) return a.score > b.score;
@@ -244,6 +258,59 @@ std::vector<ScoredDoc> naive_positional(
   });
   if (hits.size() > k) hits.resize(k);
   return hits;
+}
+
+std::vector<ScoredDoc> naive_positional(
+    const std::vector<std::optional<QueryPostings>>& lists, bool phrase,
+    std::uint32_t window, std::size_t k, const TombstoneSet* dead) {
+  return rank_naive(naive_positional_tfs(lists, phrase, window), k, dead);
+}
+
+/// Set-based evaluation of any tree under query_ast.hpp's tf rules: AND
+/// keeps docs in every child and sums their tfs, OR/bag keep docs in any
+/// child and sum the tfs of the children holding them, PHRASE/NEAR count
+/// matches. Every node is evaluated in full over decoded lists, so it
+/// shares nothing with the cursor operators.
+template <typename Fetch>
+DocTfs naive_tree(const QueryNode& node, Fetch& fetch) {
+  switch (node.op) {
+    case QueryOp::kTerm: {
+      DocTfs out;
+      const std::optional<QueryPostings> list = fetch(node.term);
+      if (list.has_value()) {
+        for (std::size_t i = 0; i < list->doc_ids.size(); ++i) {
+          out[list->doc_ids[i]] = list->tfs[i];
+        }
+      }
+      return out;
+    }
+    case QueryOp::kPhrase:
+    case QueryOp::kNear: {
+      std::vector<std::optional<QueryPostings>> lists;
+      for (const auto& term : node.terms) lists.push_back(fetch(term));
+      return naive_positional_tfs(lists, node.op == QueryOp::kPhrase, node.window);
+    }
+    case QueryOp::kAnd: {
+      DocTfs acc = naive_tree(node.children.front(), fetch);
+      for (std::size_t c = 1; c < node.children.size(); ++c) {
+        const DocTfs part = naive_tree(node.children[c], fetch);
+        DocTfs both;
+        for (const auto& [doc, tf] : acc) {
+          const auto it = part.find(doc);
+          if (it != part.end()) both[doc] = tf + it->second;
+        }
+        acc = std::move(both);
+      }
+      return acc;
+    }
+    default: {  // kBag, kOr
+      DocTfs acc;
+      for (const auto& child : node.children) {
+        for (const auto& [doc, tf] : naive_tree(child, fetch)) acc[doc] += tf;
+      }
+      return acc;
+    }
+  }
 }
 
 void expect_hits_equal(const std::vector<ScoredDoc>& got,
@@ -322,6 +389,57 @@ void expect_matches_naive(const SearchBackend& searcher,
     if (::testing::Test::HasFatalFailure()) return;
     total_hits += r.value().hits.size();
   }
+}
+
+/// Runs `count` random_query(rng, vocab, 2) trees whose root is not ranked
+/// (term and bag roots rank by BM25) through every searcher at k = 1000
+/// and diffs each against naive_tree over `fetch` + `dead`. `total_hits`
+/// accumulates matches so callers can assert the workload was not all
+/// misses.
+template <typename Fetch>
+void expect_trees_match_naive(const std::vector<const SearchBackend*>& searchers,
+                              const std::vector<std::string>& vocab, std::uint32_t seed,
+                              int count, Fetch&& fetch, const TombstoneSet* dead,
+                              const std::string& label, std::size_t& total_hits) {
+  std::mt19937 rng(seed);
+  int run = 0;
+  while (run < count) {
+    const Query q = random_query(rng, vocab, 2);
+    if (q.root().op == QueryOp::kTerm || q.root().op == QueryOp::kBag) continue;
+    ++run;
+    QueryRequest request;
+    request.query = q;
+    request.k = 1000;
+    request.use_result_cache = false;
+    const auto want = rank_naive(naive_tree(q.root(), fetch), request.k, dead);
+    for (std::size_t s = 0; s < searchers.size(); ++s) {
+      const auto r = searchers[s]->search(request);
+      ASSERT_TRUE(r.has_value()) << label << ": " << r.error().to_string();
+      expect_hits_equal(r.value().hits, want,
+                        label + "/" + std::to_string(s) + " '" + q.to_string() + "'");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    total_hits += want.size();
+  }
+}
+
+/// The `n` terms with the longest lists, then `n / 2` from further down
+/// the df order: random trees over them mix long multi-block lists (which
+/// match often) with shorter ones (which drive intersections).
+std::vector<std::string> tree_vocabulary(std::vector<std::pair<std::uint64_t, std::string>> by_df,
+                                         std::size_t n) {
+  std::sort(by_df.begin(), by_df.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  std::vector<std::string> vocab;
+  for (std::size_t i = 0; i < by_df.size() && vocab.size() < n; ++i) {
+    vocab.push_back(by_df[i].second);
+  }
+  for (std::size_t i = 4 * n; i < by_df.size() && vocab.size() < n + n / 2; ++i) {
+    vocab.push_back(by_df[i].second);
+  }
+  return vocab;
 }
 
 // ------------------------------------------------- batch index equivalence
@@ -411,6 +529,103 @@ TEST_F(BatchPositionalFixture, NonPositionalIndexRejectsPhrase) {
   EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument);
 }
 
+// ------------------------------------------------- nested trees, batch
+
+/// A batch index large enough that frequent terms span several postings
+/// blocks, so nested operators have blocks to skip.
+class NestedBatchFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    corpus_dir_ = new TempDir("ncorpus");
+    index_dir_ = new TempDir("nindex");
+    corpus_ = new Corpus(make_corpus(corpus_dir_->path(), 1 << 20, 0x7EE));
+    IndexBuilder builder;
+    builder.parsers(1).cpu_indexers(1).emit_segment(true);
+    builder.config().parser.record_positions = true;
+    builder.build(corpus_->files, index_dir_->path());
+  }
+  static void TearDownTestSuite() {
+    delete corpus_;
+    delete index_dir_;
+    delete corpus_dir_;
+    corpus_ = nullptr;
+    index_dir_ = nullptr;
+    corpus_dir_ = nullptr;
+  }
+  static std::vector<std::pair<std::uint64_t, std::string>> terms_by_df(
+      const InvertedIndex& index) {
+    std::vector<std::pair<std::uint64_t, std::string>> by_df;
+    index.for_each_term([&](std::string_view t) {
+      const auto cursor = index.open_cursor(t);
+      if (cursor != nullptr) by_df.emplace_back(cursor->size(), std::string(t));
+    });
+    return by_df;
+  }
+  static inline TempDir* corpus_dir_ = nullptr;
+  static inline TempDir* index_dir_ = nullptr;
+  static inline Corpus* corpus_ = nullptr;
+};
+
+TEST_F(NestedBatchFixture, RandomTreesMatchNaiveWithBloomOnAndOff) {
+  const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
+  const auto vocab = tree_vocabulary(terms_by_df(index), 12);
+  ASSERT_GE(vocab.size(), 12u);
+  SearcherOptions without_blooms;
+  without_blooms.use_bloom_filters = false;
+  const auto filtered = Searcher::open(SearchSource::batch(index)).value();
+  const auto unfiltered =
+      Searcher::open(SearchSource::batch(index), without_blooms).value();
+  std::size_t hits = 0;
+  expect_trees_match_naive(
+      {filtered.get(), unfiltered.get()}, vocab, 0x7EE5, 150,
+      [&index](const std::string& term) { return index.lookup_positional(term); },
+      /*dead=*/nullptr, "batch", hits);
+  EXPECT_GT(hits, 0u);
+}
+
+TEST_F(NestedBatchFixture, NestedTreesSkipBlocks) {
+  // A rare term drives an intersection whose other operand is an OR (or a
+  // phrase beside an OR) over the two longest lists. Its first document
+  // lies beyond both long lists' first block, so seeking the OR to it must
+  // pass those blocks without decoding them.
+  const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
+  auto by_df = terms_by_df(index);
+  std::sort(by_df.begin(), by_df.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  ASSERT_GE(by_df.size(), 3u);
+  const std::string& b = by_df[0].second;
+  const std::string& c = by_df[1].second;
+  const std::string& d = by_df[2].second;
+  ASSERT_GT(by_df[1].first, 2u * kPostingsBlockSize);
+  const auto first_block_end = [&index](const std::string& term) {
+    return index.open_cursor(term)->block_last_doc();
+  };
+  const std::uint32_t past = std::max(first_block_end(b), first_block_end(c));
+  std::string rare;
+  for (auto it = by_df.rbegin(); it != by_df.rend() && rare.empty(); ++it) {
+    auto cursor = index.open_cursor(it->second);
+    cursor->seek(0);
+    if (cursor->docid() > past) rare = it->second;
+  }
+  ASSERT_FALSE(rare.empty());
+
+  const auto searcher = Searcher::open(SearchSource::batch(index)).value();
+  const Query b_or_c = Query::or_of({Query::term(b), Query::term(c)});
+  for (const Query& q : {Query::and_of({Query::term(rare), b_or_c}),
+                         Query::and_of({b_or_c, Query::phrase({rare, d})})}) {
+    const auto before = searcher->metrics().snapshot().counter("search_blocks_skipped_total");
+    QueryRequest request;
+    request.query = q;
+    request.use_result_cache = false;
+    const auto r = searcher->search(request);
+    ASSERT_TRUE(r.has_value()) << r.error().to_string();
+    EXPECT_GT(searcher->metrics().snapshot().counter("search_blocks_skipped_total"), before)
+        << q.to_string();
+  }
+}
+
 // ------------------------------------------------- live tier equivalence
 
 TEST(LivePositional, PhraseAndNearMatchNaiveJoinAcrossMutations) {
@@ -466,6 +681,61 @@ TEST(LivePositional, PhraseAndNearMatchNaiveJoinAcrossMutations) {
   ASSERT_TRUE(w.flush().has_value());
   ASSERT_TRUE(w.compact_now().has_value());
   run("post-compaction");  // reclaim rewrote segments and .blm sidecars
+}
+
+TEST(LiveNested, RandomTreesMatchNaiveAcrossMutationsWithBloomOnAndOff) {
+  TempDir corpus_dir("ntcorpus");
+  TempDir live_dir("ntlive");
+  const auto corpus = make_corpus(corpus_dir.path(), 96 << 10, 0x7AEE);
+
+  IndexWriterOptions opts;
+  opts.flush_threshold_bytes = 0;
+  opts.background_compaction = false;
+  opts.parser.record_positions = true;
+  auto w = IndexWriter::open(live_dir.path(), opts).value();
+  std::mt19937 rng(0x7AEE);
+  std::vector<std::uint32_t> live_ids;
+  for (std::size_t i = 0; i < corpus.docs.size(); ++i) {
+    live_ids.push_back(w.add_document(corpus.docs[i].url, corpus.docs[i].body));
+    const auto roll = rng() % 13;
+    if (roll == 0 && i + 8 < corpus.docs.size()) {
+      ASSERT_TRUE(w.flush().has_value());
+    } else if (roll == 1 && !live_ids.empty()) {
+      const std::size_t victim = rng() % live_ids.size();
+      ASSERT_TRUE(w.delete_document(live_ids[victim]).has_value());
+      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+  }
+
+  SearcherOptions without_blooms;
+  without_blooms.use_bloom_filters = false;
+  const auto filtered =
+      Searcher::open(SearchSource::live([&w] { return w.snapshot(); })).value();
+  const auto unfiltered =
+      Searcher::open(SearchSource::live([&w] { return w.snapshot(); }), without_blooms)
+          .value();
+
+  const auto run = [&](const std::string& label) {
+    const auto snap = w.snapshot();
+    std::vector<std::pair<std::uint64_t, std::string>> by_df;
+    snap->for_each_term([&](std::string_view t) {
+      const auto cursor = snap->open_cursor(t);
+      if (cursor != nullptr) by_df.emplace_back(cursor->size(), std::string(t));
+      return true;
+    });
+    std::size_t hits = 0;
+    expect_trees_match_naive(
+        {filtered.get(), unfiltered.get()}, tree_vocabulary(std::move(by_df), 12), 0x7AE5,
+        120, [&snap](const std::string& term) { return snap->lookup(term); },
+        snap->tombstones(), label, hits);
+    EXPECT_GT(hits, 0u) << label;
+  };
+
+  run("live+memtable");  // segments + unflushed tail + tombstones
+
+  ASSERT_TRUE(w.flush().has_value());
+  ASSERT_TRUE(w.compact_now().has_value());
+  run("post-compaction");
 }
 
 // ------------------------------------------------- bloom on/off identity

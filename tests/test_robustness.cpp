@@ -176,6 +176,45 @@ TEST_F(CorruptionFixture, MissingRunFileReportsNotFound) {
   expect_run_damage_reported(index_dir_, ErrorCode::kNotFound);
 }
 
+TEST(RunDamage, VerifyNamesTheFailedRunWithoutBlamingItsTerms) {
+  // Three corpus files → three runs, each with terms no other run holds.
+  // When one run fails to load, its terms' postings cannot be looked at,
+  // which is not the same as their being lost: verify must name the load
+  // failure, not follow it with one "no postings" line per such term.
+  TempDir dir("multirun");
+  std::vector<std::string> files;
+  for (int f = 0; f < 3; ++f) {
+    std::vector<Document> docs;
+    for (int i = 0; i < 20; ++i) {
+      docs.push_back({static_cast<std::uint32_t>(i), "http://x/" + std::to_string(i),
+                      "shared words here uniq" + std::to_string(f) + "x" +
+                          std::to_string(i)});
+    }
+    files.push_back(dir.path() + "/c" + std::to_string(f) + ".hdc");
+    container_write(files.back(), docs);
+  }
+  IndexBuilder builder;
+  builder.parsers(1).cpu_indexers(1).gpus(0);
+  const std::string index_dir = dir.path() + "/index";
+  builder.build(files, index_dir);
+  ASSERT_TRUE(verify_index(index_dir).ok);
+  ASSERT_GT(verify_index(index_dir).runs, 1u);
+
+  auto data = read_file(IndexLayout::run_path(index_dir, 0));
+  data[data.size() - 4] ^= 0x5A;  // a blob byte: the CRC check fails the load
+  write_file(IndexLayout::run_path(index_dir, 0), data);
+
+  const auto report = verify_index(index_dir);
+  EXPECT_FALSE(report.ok);
+  bool load_error = false;
+  for (const auto& error : report.errors) {
+    if (error.find("corrupt") != std::string::npos) load_error = true;
+    EXPECT_EQ(error.find("no postings in any run"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(load_error);
+  EXPECT_LT(report.errors.size(), 5u);
+}
+
 // A live segment's doc map is read on every open of the directory; damage
 // to it must come back as kCorrupt, not take the process down.
 TEST(LiveDocMapCorruption, DamagedSegmentDocMapReportsCorrupt) {

@@ -330,25 +330,6 @@ TEST(LiveServe, ResultCacheHitsAndInvalidatesAcrossSnapshots) {
   EXPECT_EQ(searcher.metrics().snapshot().counter("search_result_cache_hits_total"), 1u);
 }
 
-TEST_F(BatchServeFixture, PostingsCacheServesRepeatedTerms) {
-  const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
-  const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
-  const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
-  const Searcher& searcher = *searcher_ptr;
-  QueryRequest request;
-  // Disjunctive mode: a decoded mode — the cursor modes (pruned ranked,
-  // conjunctive) deliberately bypass this cache.
-  request.query = Query::disjunction({batch_vocabulary(index).front(), "zzzznope"});
-  request.use_result_cache = false;  // isolate the postings cache
-  ASSERT_TRUE(searcher.search(request).has_value());
-  ASSERT_TRUE(searcher.search(request).has_value());
-  const auto snapshot = searcher.metrics().snapshot();
-  // Second pass hits for both terms — including the negative "absent"
-  // verdict for the unknown one.
-  EXPECT_EQ(snapshot.counter("search_postings_cache_misses_total"), 2u);
-  EXPECT_EQ(snapshot.counter("search_postings_cache_hits_total"), 2u);
-}
-
 // ------------------------------------------------ deadlines and admission
 
 TEST_F(BatchServeFixture, ExpiredDeadlineRejectsBeforeExecution) {
